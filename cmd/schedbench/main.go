@@ -5,16 +5,14 @@
 // Usage:
 //
 //	schedbench [-e all|E1|E2|...|E12] [-trials N] [-quick] [-seed S] [-o file]
-//	schedbench -service [-quick] [-o BENCH_service.json]
 //	schedbench -core [-quick] [-o BENCH_core.json | -check BENCH_core.json]
 //	schedbench -online [-quick] [-o BENCH_online.json | -check BENCH_online.json]
 //	schedbench -dist [-quick] [-o BENCH_dist.json | -check BENCH_dist.json |
 //	                 -smoke line-100k]
 //	schedbench -load [-quick] [-o BENCH_load.json | -check BENCH_load.json]
 //
-// The -service mode benchmarks the serving layer (internal/service)
-// instead: requests/sec for cold, compiled-cache-warm and
-// result-cache-warm solves across three scenarios. The -core mode
+// The serving layer's cache regimes are measured end to end over HTTP
+// by the separate perfbench module (see BENCHMARK.json). The -core mode
 // benchmarks the solver itself — ns/solve and allocs/solve per
 // scenario×algorithm, cold (fresh compile) and warm (compiled reuse) —
 // plus the parallel-compile scale tier: serial vs full-width model
@@ -56,7 +54,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "shrink workloads for a fast pass")
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		out     = flag.String("o", "", "write output to file instead of stdout")
-		service = flag.Bool("service", false, "benchmark the serving layer instead of E1-E12")
 		coreRun = flag.Bool("core", false, "benchmark the solver cold path instead of E1-E12")
 		online  = flag.Bool("online", false, "benchmark delta re-solve vs cold solve instead of E1-E12")
 		distRun = flag.Bool("dist", false, "benchmark the BSP worker-pool engine vs the goroutine-per-processor anchor")
@@ -66,10 +63,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *service {
-		runServiceBaseline(*out, *quick)
-		return
-	}
 	if *coreRun {
 		runCoreBaseline(*out, *check, *quick)
 		return

@@ -259,56 +259,7 @@ func cmdSolve(args []string) {
 		tel = obs.NewTrace()
 	}
 	opts := treesched.Options{Epsilon: *eps, Seed: *seed, FixedRounds: *fixed, CollectTrace: *trace, Telemetry: tel}
-	var (
-		res *treesched.Result
-		net *core.DistributedResult
-		err error
-	)
-	switch *algo {
-	case "tree-unit":
-		res, err = treesched.SolveTreeUnit(p, opts)
-	case "line-unit":
-		res, err = treesched.SolveLineUnit(p, opts)
-	case "arbitrary":
-		res, err = treesched.SolveArbitrary(p, opts)
-	case "narrow":
-		res, err = treesched.SolveNarrow(p, opts)
-	case "sequential":
-		res, err = treesched.SolveSequential(p, opts)
-	case "seq-line":
-		res, err = treesched.SolveSequentialLine(p, opts)
-	case "exact":
-		// Exact and Greedy take no Options; their telemetry hook is the
-		// explicit *Traced variant on the compiled form.
-		var c *core.Compiled
-		if c, err = core.Compile(p, 0); err == nil {
-			res, err = c.ExactTraced(0, tel)
-		}
-	case "greedy":
-		var c *core.Compiled
-		if c, err = core.Compile(p, 0); err == nil {
-			res, err = c.GreedyTraced(tel)
-		}
-	case "ps":
-		res, err = treesched.SolvePanconesiSozio(p, opts)
-	case "dist-unit":
-		net, err = treesched.SolveDistributedUnit(p, opts)
-		if net != nil {
-			res = net.Result
-		}
-	case "dist-narrow":
-		net, err = treesched.SolveDistributedNarrow(p, opts)
-		if net != nil {
-			res = net.Result
-		}
-	case "dist-ps":
-		net, err = treesched.SolveDistributedPanconesiSozio(p, opts)
-		if net != nil {
-			res = net.Result
-		}
-	default:
-		die(fmt.Errorf("unknown algorithm %q", *algo))
-	}
+	res, net, err := core.Solve(p, *algo, opts)
 	if err != nil {
 		die(err)
 	}
@@ -327,10 +278,10 @@ func cmdSolve(args []string) {
 		Selected:       res.Selected,
 	}
 	if net != nil {
-		sol.Rounds = net.Net.Rounds
-		sol.Messages = net.Net.Messages
-		sol.Aggregations = net.Net.Aggregations
-		sol.PayloadEntries = net.Net.Entries
+		sol.Rounds = net.Rounds
+		sol.Messages = net.Messages
+		sol.Aggregations = net.Aggregations
+		sol.PayloadEntries = net.Entries
 	}
 	if res.Trace != nil {
 		sol.StepsPerStage = res.Trace.StepsPerStage

@@ -1,12 +1,13 @@
 package bench
 
-// The cold-path benchmark behind `schedbench -core`: BENCH_service.json
-// tracks the serving layer per cache regime, this harness tracks the
-// solver itself — ns/solve and allocs/solve per scenario×algorithm pair,
-// cold (fresh compilation per solve, the regime a service facing millions
-// of distinct problems lives in) and warm (compiled model reused, the
-// pooled-scratch steady state). The checked-in BENCH_core.json anchors
-// the perf trajectory; CheckCore guards it in CI.
+// The cold-path benchmark behind `schedbench -core`: where the
+// end-to-end benchmark (perfbench/) tracks the serving layer per cache
+// regime over HTTP, this harness tracks the solver itself — ns/solve and
+// allocs/solve per scenario×algorithm pair, cold (fresh compilation per
+// solve, the regime a service facing millions of distinct problems lives
+// in) and warm (compiled model reused, the pooled-scratch steady state).
+// The checked-in BENCH_core.json anchors the perf trajectory; CheckCore
+// guards it in CI.
 
 import (
 	"fmt"
@@ -216,9 +217,9 @@ type CoreObsEntry struct {
 	SolveLatency obs.Summary `json:"solve_latency"`
 }
 
-// coreSolve dispatches one solve on a compiled problem. It mirrors the
-// service registry for the tracked algorithms only; options are fixed so
-// every measurement exercises the identical deterministic run.
+// coreSolve dispatches one solve on a compiled problem through the core
+// registry; options are fixed so every measurement exercises the
+// identical deterministic run.
 func coreSolve(c *core.Compiled, algo string) error {
 	return coreSolveOpts(c, algo, core.Options{Seed: 1})
 }
@@ -226,21 +227,11 @@ func coreSolve(c *core.Compiled, algo string) error {
 // coreSolveOpts is coreSolve with explicit options (the telemetry tier
 // attaches Options.Telemetry).
 func coreSolveOpts(c *core.Compiled, algo string, opts core.Options) error {
-	var err error
-	switch algo {
-	case "tree-unit":
-		_, err = c.TreeUnit(opts)
-	case "line-unit":
-		_, err = c.LineUnit(opts)
-	case "narrow":
-		_, err = c.NarrowOnly(opts)
-	case "arbitrary":
-		_, err = c.Arbitrary(opts)
-	case "dist-unit":
-		_, err = c.DistributedUnit(opts)
-	default:
-		err = fmt.Errorf("bench: untracked core algo %q", algo)
+	a, ok := core.Lookup(algo)
+	if !ok {
+		return fmt.Errorf("bench: unknown algorithm %q", algo)
 	}
+	_, _, err := a.Run(c, opts)
 	return err
 }
 

@@ -148,24 +148,19 @@ func (s *goroutineSampler) stopAndPeak() int {
 // measuring wall time and peak goroutines. The sampler itself and the
 // test harness contribute a few goroutines — the gate allows for them.
 func distSolve(c *core.Compiled, algo string, distWorkers int) (*core.DistributedResult, time.Duration, int, error) {
-	opts := core.Options{Seed: 1, DistWorkers: distWorkers}
-	var run func(core.Options) (*core.DistributedResult, error)
-	switch algo {
-	case "dist-unit":
-		run = c.DistributedUnit
-	case "dist-narrow":
-		run = c.DistributedNarrow
-	case "dist-ps":
-		run = c.DistributedPanconesiSozio
-	default:
-		return nil, 0, 0, fmt.Errorf("bench: untracked dist algo %q", algo)
+	a, ok := core.Lookup(algo)
+	if !ok || !a.ReadsFixedRounds {
+		return nil, 0, 0, fmt.Errorf("bench: %q is not a distributed algorithm", algo)
 	}
 	sampler := startGoroutineSampler()
 	begin := time.Now()
-	r, err := run(opts)
+	res, net, err := a.Run(c, core.Options{Seed: 1, DistWorkers: distWorkers})
 	elapsed := time.Since(begin)
 	peak := sampler.stopAndPeak()
-	return r, elapsed, peak, err
+	if err != nil {
+		return nil, elapsed, peak, err
+	}
+	return &core.DistributedResult{Result: res, Net: *net}, elapsed, peak, nil
 }
 
 // distMeasure times one engine, repeating until targetDur of wall time

@@ -98,14 +98,14 @@ func E1TreeUnitRatios(cfg Config) *Table {
 				p := gen.TreeProblem(gen.TreeConfig{
 					N: sz[0], Trees: sz[1], Demands: sz[2], Unit: true, Shape: shape,
 				}, rng)
-				res, err := core.TreeUnit(p, core.Options{Epsilon: eps, Seed: uint64(trial)})
+				res, _, err := core.Solve(p, "tree-unit", core.Options{Epsilon: eps, Seed: uint64(trial)})
 				if err != nil {
 					panic(err)
 				}
 				mustFeasible(p, res)
 				bound = res.Bound
 				st.addCert(res.CertifiedRatio)
-				if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+				if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 					st.addTrue(opt.Profit / res.Profit)
 				}
 			}
@@ -135,20 +135,20 @@ func E2Rounds(cfg Config) *Table {
 		roundsSum, msgSum, aggSum, fixedSum := 0, int64(0), 0, 0
 		for trial := 0; trial < cfg.Trials; trial++ {
 			p := gen.TreeProblem(gen.TreeConfig{N: n, Trees: 2, Demands: 24, Unit: true}, rng)
-			d, err := core.DistributedUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
+			res, net, err := core.Solve(p, "dist-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
-			mustFeasible(p, d.Result)
-			roundsSum += d.Net.Rounds
-			msgSum += d.Net.Messages
-			aggSum += d.Net.Aggregations
-			f, err := core.DistributedUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), FixedRounds: true})
+			mustFeasible(p, res)
+			roundsSum += net.Rounds
+			msgSum += net.Messages
+			aggSum += net.Aggregations
+			res, net, err = core.Solve(p, "dist-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial), FixedRounds: true})
 			if err != nil {
 				panic(err)
 			}
-			mustFeasible(p, f.Result)
-			fixedSum += f.Net.Rounds
+			mustFeasible(p, res)
+			fixedSum += net.Rounds
 		}
 		fTrials := float64(cfg.Trials)
 		rMean := float64(roundsSum) / fTrials
@@ -182,25 +182,25 @@ func E3Narrow(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 20, Trees: 2, Demands: 12, HMin: hmin, HMax: 0.5,
 			}, rng)
-			res, err := core.NarrowOnly(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+			res, _, err := core.Solve(p, "narrow", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 			if err != nil {
 				panic(err)
 			}
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
 			if len(res.Trace.StepsPerStage) > 0 {
 				stages = len(res.Trace.StepsPerStage[0])
 			}
-			d, err := core.DistributedNarrow(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
+			_, net, err := core.Solve(p, "dist-narrow", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
-			rounds += d.Net.Rounds
-			aggs += d.Net.Aggregations
+			rounds += net.Rounds
+			aggs += net.Aggregations
 		}
 		t.Add(hmin, st.certMean(), st.trueMean(), bound, stages, rounds/cfg.Trials, aggs/cfg.Trials)
 	}
@@ -232,17 +232,17 @@ func E4Arbitrary(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 18, Trees: 2, Demands: 12, HMin: w.hmin, HMax: w.hmax,
 			}, rng)
-			res, err := core.Arbitrary(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
+			res, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, _, err := core.Solve(p, "greedy", core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -276,19 +276,12 @@ func E5LineUnit(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 32, Resources: 2, Demands: 14, Unit: true, MaxProc: 8,
 		}, rng)
-		opt, optErr := core.Exact(p, 4_000_000)
+		opt, _, optErr := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000})
 		for _, run := range []struct {
-			acc *accum
-			f   func() (*core.Result, error)
-		}{
-			{ours, func() (*core.Result, error) {
-				return core.LineUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			}},
-			{ps, func() (*core.Result, error) {
-				return core.PanconesiSozioUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			}},
-		} {
-			res, err := run.f()
+			acc  *accum
+			algo string
+		}{{ours, "line-unit"}, {ps, "ps"}} {
+			res, _, err := core.Solve(p, run.algo, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
@@ -331,17 +324,17 @@ func E6LineArbitrary(cfg Config) *Table {
 			p := gen.LineProblem(gen.LineConfig{
 				Slots: 28, Resources: 2, Demands: 12, HMin: res.hmin, HMax: res.hmax, MaxProc: 7,
 			}, rng)
-			r, err := core.Arbitrary(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
+			r, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
 			mustFeasible(p, r)
 			bound = r.Bound
 			st.addCert(r.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && r.Profit > 0 {
+			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && r.Profit > 0 {
 				st.addTrue(opt.Profit / r.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, _, err := core.Solve(p, "greedy", core.Options{})
 			if err != nil {
 				panic(err)
 			}

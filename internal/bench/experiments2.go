@@ -73,7 +73,7 @@ func E8Steps(cfg Config) *Table {
 					p.Demands[i].Profit = 1
 				}
 			}
-			res, err := core.TreeUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+			res, _, err := core.Solve(p, "tree-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 			if err != nil {
 				panic(err)
 			}
@@ -108,14 +108,14 @@ func E9Sequential(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 14, Trees: trees, Demands: 10, Unit: true,
 			}, rng)
-			res, err := core.Sequential(p, core.Options{})
+			res, _, err := core.Solve(p, "sequential", core.Options{})
 			if err != nil {
 				panic(err)
 			}
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
 		}
@@ -128,13 +128,13 @@ func E9Sequential(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 20, Resources: 2, Demands: 10, Unit: true, MaxProc: 6,
 		}, rng)
-		res, err := core.SequentialLine(p, core.Options{})
+		res, _, err := core.Solve(p, "seq-line", core.Options{})
 		if err != nil {
 			panic(err)
 		}
 		mustFeasible(p, res)
 		st.addCert(res.CertifiedRatio)
-		if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+		if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 			st.addTrue(opt.Profit / res.Profit)
 		}
 	}
@@ -177,16 +177,16 @@ func E10Capacitated(cfg Config) *Table {
 					MaxProc: 6, Capacity: w.cap, CapJitter: w.jit,
 				}, rng)
 			}
-			res, err := core.Arbitrary(p, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
+			res, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			if err != nil {
 				panic(err)
 			}
 			mustFeasible(p, res)
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, _, err := core.Solve(p, "greedy", core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -221,7 +221,7 @@ func E11DecompAblation(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 128, Trees: 2, Demands: 20, Unit: true, Shape: gen.ShapeCaterpillar,
 			}, rng)
-			res, err := core.TreeUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), DecompKind: kind})
+			res, _, err := core.Solve(p, "tree-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial), DecompKind: kind})
 			if err != nil {
 				panic(err)
 			}
@@ -230,11 +230,11 @@ func E11DecompAblation(cfg Config) *Table {
 			st.addCert(res.CertifiedRatio)
 			delta = res.Model.Delta
 			epochs = res.Model.NumGroups
-			d, err := core.DistributedUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), DecompKind: kind})
+			_, net, err := core.Solve(p, "dist-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial), DecompKind: kind})
 			if err != nil {
 				panic(err)
 			}
-			rounds += d.Net.Rounds
+			rounds += net.Rounds
 		}
 		t.Add(kind.String(), delta, epochs, bound, st.certMean(), rounds/cfg.Trials)
 	}
@@ -262,11 +262,11 @@ func E12StageAblation(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 32, Resources: 2, Demands: 14, Unit: true, MaxProc: 8,
 		}, rng)
-		mres, err := core.LineUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		mres, _, err := core.Solve(p, "line-unit", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			panic(err)
 		}
-		sres, err := core.PanconesiSozioUnit(p, core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		sres, _, err := core.Solve(p, "ps", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			panic(err)
 		}

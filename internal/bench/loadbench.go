@@ -1,13 +1,13 @@
 package bench
 
-// The traffic-scale harness behind `schedbench -load`: where
-// BENCH_service.json measures one closed-loop cache regime at a time,
-// this drives service.Engine with open-loop traffic — arrivals fire on
-// a clock regardless of completions, the regime a service facing
+// The traffic-scale harness behind `schedbench -load`: where the
+// end-to-end benchmark (perfbench/) replays closed-loop cache regimes over
+// HTTP, this drives service.Engine with open-loop traffic — arrivals fire
+// on a clock regardless of completions, the regime a service facing
 // millions of independent users actually lives in — and writes
 // BENCH_load.json: per (arrival process × client concurrency) the
-// closed-loop saturation rps, then open-loop p50/p99 latency measured
-// from each request's scheduled arrival (queueing included), plus the
+// closed-loop saturation rps, then open-loop p50/p99 latency measured from
+// each request's scheduled arrival (queueing included), plus the
 // coalescing and cache-hit rates of the singleflight + sharded-cache
 // serving stack. A separate contention tier pits the default sharded
 // caches against the single-lock oracle layout (CacheShards=1) on a

@@ -14,7 +14,7 @@ func TestAdversarialHubStaysWithinBound(t *testing.T) {
 	sawMultiStepStage := false
 	for trial := 0; trial < 10; trial++ {
 		p := gen.AdversarialHub(4, 3, 2, 16, rng)
-		res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -37,7 +37,7 @@ func TestAdversarialHubStaysWithinBound(t *testing.T) {
 		}
 		// Exact comparison: all demands pairwise conflict per network, so
 		// OPT is easy to eyeball and B&B is fast.
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +53,11 @@ func TestAdversarialHubStaysWithinBound(t *testing.T) {
 func TestAdversarialDistributedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := gen.AdversarialHub(3, 4, 2, 12, rng)
-	central, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 77})
+	central, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	distrib, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: 77})
+	distrib, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTreeUnitPropertyBased(t *testing.T) {
 			Unit:    true,
 		}, rng)
 		eps := 0.05 + float64(rawEps%80)/100.0
-		res, err := TreeUnit(p, Options{Epsilon: eps, Seed: uint64(seed)})
+		res, err := solve(p, "tree-unit", Options{Epsilon: eps, Seed: uint64(seed)})
 		if err != nil {
 			return false
 		}
@@ -104,7 +104,7 @@ func TestLineUnitPropertyBased(t *testing.T) {
 			Demands:   1 + int(rawM)%12,
 			Unit:      true,
 		}, rng)
-		res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: uint64(seed)})
+		res, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: uint64(seed)})
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestArbitraryPropertyBased(t *testing.T) {
 			cfg.CapJitter = 0.4
 		}
 		p := gen.TreeProblem(cfg, rng)
-		res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: uint64(seed)})
+		res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: uint64(seed)})
 		if err != nil {
 			return false
 		}
@@ -152,11 +152,11 @@ func TestEpsilonExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := gen.TreeProblem(gen.TreeConfig{N: 16, Trees: 2, Demands: 10, Unit: true}, rng)
 	// Tight epsilon: more stages, tighter λ.
-	tight, err := TreeUnit(p, Options{Epsilon: 0.01, Seed: 1})
+	tight, err := solve(p, "tree-unit", Options{Epsilon: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := TreeUnit(p, Options{Epsilon: 0.9, Seed: 1})
+	loose, err := solve(p, "tree-unit", Options{Epsilon: 0.9, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +176,14 @@ func TestEpsilonExtremes(t *testing.T) {
 func TestSingleDemandProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 1, Unit: true}, rng)
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != 1 {
 		t.Fatalf("single unconflicted demand must be scheduled, got %d", len(res.Selected))
 	}
-	d, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	d, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func compileTestTreeProblem(t *testing.T, unit bool) *Compiled {
 }
 
 // TestCompiledMatchesPackageLevel: solving through a Compiled must give
-// exactly what the one-shot package-level entry points give.
+// exactly what the one-shot package-level Solve gives.
 func TestCompiledMatchesPackageLevel(t *testing.T) {
 	c := compileTestTreeProblem(t, true)
 	opts := Options{Seed: 3}
@@ -34,24 +34,24 @@ func TestCompiledMatchesPackageLevel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compiled TreeUnit: %v", err)
 	}
-	fresh, err := TreeUnit(c.Problem(), opts)
+	fresh, err := solve(c.Problem(), "tree-unit", opts)
 	if err != nil {
-		t.Fatalf("package TreeUnit: %v", err)
+		t.Fatalf("Solve tree-unit: %v", err)
 	}
 	if !SameSelection(fromCompiled, fresh) || fromCompiled.Profit != fresh.Profit {
-		t.Fatal("compiled and package-level TreeUnit disagree")
+		t.Fatal("compiled TreeUnit and Solve disagree")
 	}
 
 	seq1, err := c.Sequential(opts)
 	if err != nil {
 		t.Fatalf("compiled Sequential: %v", err)
 	}
-	seq2, err := Sequential(c.Problem(), opts)
+	seq2, err := solve(c.Problem(), "sequential", opts)
 	if err != nil {
-		t.Fatalf("package Sequential: %v", err)
+		t.Fatalf("Solve sequential: %v", err)
 	}
 	if !SameSelection(seq1, seq2) {
-		t.Fatal("compiled and package-level Sequential disagree")
+		t.Fatal("compiled Sequential and Solve disagree")
 	}
 }
 
@@ -78,7 +78,7 @@ func TestCompiledSolveMany(t *testing.T) {
 	// Mixing in other algorithms must not perturb subsequent solves.
 	// (NarrowOnly may legitimately reject the mixed-height workload.)
 	c.NarrowOnly(Options{}) // nolint:errcheck
-	if _, err := c.Greedy(); err != nil {
+	if _, err := c.Greedy(Options{}); err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
 	again, err := c.Arbitrary(Options{Seed: 1})

@@ -15,7 +15,7 @@ func TestTreeUnitEndToEnd(t *testing.T) {
 		p := gen.TreeProblem(gen.TreeConfig{
 			N: 10 + rng.Intn(40), Trees: 1 + rng.Intn(3), Demands: 5 + rng.Intn(30), Unit: true,
 		}, rng)
-		res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -48,11 +48,11 @@ func TestTreeUnitAgainstExact(t *testing.T) {
 		p := gen.TreeProblem(gen.TreeConfig{
 			N: 8 + rng.Intn(8), Trees: 1 + rng.Intn(2), Demands: 4 + rng.Intn(8), Unit: true,
 		}, rng)
-		res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 7})
+		res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestLineUnitEndToEnd(t *testing.T) {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 20 + rng.Intn(40), Resources: 1 + rng.Intn(3), Demands: 5 + rng.Intn(20), Unit: true,
 		}, rng)
-		res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		res, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -105,18 +105,18 @@ func TestLineUnitAgainstExactAndPS(t *testing.T) {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 16, Resources: 1 + rng.Intn(2), Demands: 4 + rng.Intn(6), Unit: true, MaxProc: 5,
 		}, rng)
-		res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 11})
+		res, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := PanconesiSozioUnit(p, Options{Epsilon: 0.25, Seed: 11})
+		ps, err := solve(p, "ps", Options{Epsilon: 0.25, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := verify.Solution(p, ps.Selected); err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestNarrowOnlyEndToEnd(t *testing.T) {
 			N: 12 + rng.Intn(20), Trees: 1 + rng.Intn(2), Demands: 5 + rng.Intn(15),
 			HMin: 0.15, HMax: 0.5,
 		}, rng)
-		res, err := NarrowOnly(p, Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
+		res, err := solve(p, "narrow", Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -162,7 +162,7 @@ func TestNarrowOnlyEndToEnd(t *testing.T) {
 func TestNarrowOnlyRejectsWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := gen.TreeProblem(gen.TreeConfig{N: 10, Trees: 1, Demands: 5, HMin: 0.8, HMax: 0.9}, rng)
-	if _, err := NarrowOnly(p, Options{}); err == nil {
+	if _, err := solve(p, "narrow", Options{}); err == nil {
 		t.Fatal("accepted wide instances")
 	}
 }
@@ -174,7 +174,7 @@ func TestArbitraryEndToEnd(t *testing.T) {
 			N: 12 + rng.Intn(20), Trees: 1 + rng.Intn(2), Demands: 6 + rng.Intn(14),
 			HMin: 0.1, HMax: 1.0,
 		}, rng)
-		res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: uint64(trial)})
+		res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -206,7 +206,7 @@ func TestArbitraryLineEndToEnd(t *testing.T) {
 			Slots: 24, Resources: 1 + rng.Intn(2), Demands: 6 + rng.Intn(10),
 			HMin: 0.1, HMax: 1.0, MaxProc: 6,
 		}, rng)
-		res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: uint64(trial)})
+		res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -217,7 +217,7 @@ func TestArbitraryLineEndToEnd(t *testing.T) {
 		if res.Bound > 23/(1-0.25)+1e-6 {
 			t.Fatalf("trial %d: line arbitrary bound %.3f too large", trial, res.Bound)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err == nil && opt.Profit > res.DualUB+1e-6 {
 			t.Fatalf("trial %d: OPT above combined dual UB", trial)
 		}
@@ -231,7 +231,7 @@ func TestSequentialEndToEnd(t *testing.T) {
 		p := gen.TreeProblem(gen.TreeConfig{
 			N: 8 + rng.Intn(12), Trees: trees, Demands: 4 + rng.Intn(10), Unit: true,
 		}, rng)
-		res, err := Sequential(p, Options{CollectTrace: true})
+		res, err := solve(p, "sequential", Options{CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -251,7 +251,7 @@ func TestSequentialEndToEnd(t *testing.T) {
 		if err := CheckInterference(res.Model, res.Trace); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestExactMatchesBruteForceTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 6; trial++ {
 		p := gen.TreeProblem(gen.TreeConfig{N: 6, Trees: 1, Demands: 4, Unit: true}, rng)
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestExactMatchesBruteForceTiny(t *testing.T) {
 func TestExactNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := gen.TreeProblem(gen.TreeConfig{N: 30, Trees: 3, Demands: 40, Unit: true}, rng)
-	if _, err := Exact(p, 10); err == nil {
+	if _, err := solve(p, "exact", Options{MaxNodes: 10}); err == nil {
 		t.Fatal("node budget not enforced")
 	}
 }
@@ -317,7 +317,7 @@ func TestGreedyFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
 		p := gen.TreeProblem(gen.TreeConfig{N: 15, Trees: 2, Demands: 12, HMin: 0.2, HMax: 1}, rng)
-		res, err := Greedy(p)
+		res, err := solve(p, "greedy", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,18 +330,18 @@ func TestGreedyFeasible(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := gen.TreeProblem(gen.TreeConfig{N: 25, Trees: 2, Demands: 18, Unit: true}, rng)
-	a, err := TreeUnit(p, Options{Epsilon: 0.2, Seed: 42})
+	a, err := solve(p, "tree-unit", Options{Epsilon: 0.2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TreeUnit(p, Options{Epsilon: 0.2, Seed: 42})
+	b, err := solve(p, "tree-unit", Options{Epsilon: 0.2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !SameSelection(a, b) || a.Profit != b.Profit {
 		t.Fatal("same seed produced different results")
 	}
-	c, err := TreeUnit(p, Options{Epsilon: 0.2, Seed: 43})
+	c, err := solve(p, "tree-unit", Options{Epsilon: 0.2, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,14 +355,14 @@ func TestPaperFigure2Golden(t *testing.T) {
 	// Unit heights: the three demands pairwise share edge ⟨4,5⟩, so the
 	// optimum picks exactly the max-profit demand (profit 3).
 	p := gen.PaperFigure2Problem(true)
-	opt, err := Exact(p, 0)
+	opt, err := solve(p, "exact", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt.Profit != 3 || len(opt.Selected) != 1 {
 		t.Fatalf("unit optimum = %g with %d demands, want 3 with 1", opt.Profit, len(opt.Selected))
 	}
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestPaperFigure2Golden(t *testing.T) {
 	// Heights 0.4/0.7/0.3: first and third demands fit together (0.7 on
 	// the shared edge), so the optimum is 3+1 = 4.
 	p2 := gen.PaperFigure2Problem(false)
-	opt2, err := Exact(p2, 0)
+	opt2, err := solve(p2, "exact", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,14 +385,14 @@ func TestPaperFigure1Golden(t *testing.T) {
 	// Figure 1: {A,C} and {B,C} feasible, {A,B} not ⇒ optimum is {A,C}
 	// with profit 9 under our profits (A=5, B=6, C=4: {B,C}=10).
 	p := gen.PaperFigure1Problem()
-	opt, err := Exact(p, 0)
+	opt, err := solve(p, "exact", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt.Profit != 10 {
 		t.Fatalf("optimum %g want 10 ({B,C})", opt.Profit)
 	}
-	res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: 2})
+	res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestPaperFigure1Golden(t *testing.T) {
 func TestTraceStepsBookkeeping(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	p := gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: 15, Unit: true}, rng)
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 3, CollectTrace: true})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 3, CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,20 +426,20 @@ func TestKindChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	tp := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 3, Unit: true}, rng)
 	lpb := gen.LineProblem(gen.LineConfig{Slots: 10, Resources: 1, Demands: 3, Unit: true}, rng)
-	if _, err := TreeUnit(lpb, Options{}); err == nil {
+	if _, err := solve(lpb, "tree-unit", Options{}); err == nil {
 		t.Fatal("TreeUnit accepted line problem")
 	}
-	if _, err := LineUnit(tp, Options{}); err == nil {
+	if _, err := solve(tp, "line-unit", Options{}); err == nil {
 		t.Fatal("LineUnit accepted tree problem")
 	}
-	if _, err := PanconesiSozioUnit(tp, Options{}); err == nil {
+	if _, err := solve(tp, "ps", Options{}); err == nil {
 		t.Fatal("PS baseline accepted tree problem")
 	}
 	nonUnit := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 3, HMin: 0.3, HMax: 0.4}, rng)
-	if _, err := TreeUnit(nonUnit, Options{}); err == nil {
+	if _, err := solve(nonUnit, "tree-unit", Options{}); err == nil {
 		t.Fatal("TreeUnit accepted non-unit heights")
 	}
-	if _, err := Sequential(nonUnit, Options{}); err == nil {
+	if _, err := solve(nonUnit, "sequential", Options{}); err == nil {
 		t.Fatal("Sequential accepted non-unit heights")
 	}
 }

@@ -20,13 +20,12 @@ import (
 //
 // The per-processor body is a *resumable state machine* (a dist.Proc):
 // each Step call consumes the previous collective's result and produces
-// the next collective request. Written this way, one protocol text runs
-// on both dist engines — the sharded worker pool (dist.RunProcs, the
-// default, which carries 10^5-processor networks on GOMAXPROCS
-// goroutines) and the goroutine-per-processor runtime
-// (dist.RunProcsBlocking, selected by Options.DistWorkers < 0, the
-// reference semantics and benchmark anchor). The collective sequence is
-// identical either way, so Stats and selections are byte-identical
+// the next collective request. Written this way, one protocol text runs on
+// both engines behind dist.Run — the sharded worker pool (the default,
+// which carries 10^5-processor networks on GOMAXPROCS goroutines) and the
+// goroutine-per-processor runtime (selected by Options.DistWorkers < 0,
+// the reference semantics and benchmark anchor). The collective sequence
+// is identical either way, so Stats and selections are byte-identical
 // across engines — a tested invariant, like the centralized/distributed
 // selection equality.
 
@@ -123,10 +122,10 @@ type distProtocol struct {
 
 // run executes the protocol on the BSP runtime — communication only
 // between processors sharing a resource — and assembles the merged,
-// certificate-checked result. Options.DistWorkers picks the engine:
-// ≥ 0 runs the sharded worker pool (0 = GOMAXPROCS workers), < 0 the
-// goroutine-per-processor reference. With equal seeds every engine and
-// worker count selects exactly the instances the centralized
+// certificate-checked result. Options.DistWorkers is dist.Run's workers
+// argument: ≥ 0 runs the sharded worker pool (0 = GOMAXPROCS workers),
+// < 0 the goroutine-per-processor reference. With equal seeds every
+// engine and worker count selects exactly the instances the centralized
 // Phase1/Phase2 pair selects — a tested invariant.
 func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedResult, error) {
 	// Fixed-rounds mode: the paper's deterministic accounting. Every node
@@ -168,19 +167,13 @@ func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedR
 		machines[u] = e
 		return e
 	}
-	tr := dist.NewLocalTransport(p.CommGraph())
 	tel := cfg.opts.Telemetry
 	var rl *obs.RoundLog
 	if tel != nil {
 		rl = &obs.RoundLog{}
 	}
 	sp := tel.Begin("protocol")
-	var stats dist.Stats
-	if cfg.opts.DistWorkers < 0 {
-		stats = dist.RunProcsBlockingObserved(tr, mk, rl)
-	} else {
-		stats = dist.RunProcsObserved(tr, cfg.opts.DistWorkers, mk, rl)
-	}
+	stats := dist.Run(p.CommGraph(), cfg.opts.DistWorkers, rl, mk)
 	if tel != nil {
 		tel.Add(sp, "rounds", int64(stats.Rounds))
 		tel.Add(sp, "aggregations", int64(stats.Aggregations))

@@ -28,20 +28,11 @@ type DistributedResult struct {
 }
 
 // DistributedUnit runs the unit-height algorithm (§5 for trees, §7 for
-// lines) as a real message-passing protocol: one goroutine per processor,
-// Luby MIS by priority exchange, dual raises propagated to resource-sharing
-// neighbors, and a distributed reverse-stack second phase. With the same
-// seed it selects exactly what TreeUnit/LineUnit select.
-func DistributedUnit(p *instance.Problem, opts Options) (*DistributedResult, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.DistributedUnit(opts)
-}
-
-// DistributedUnit is the compiled-model form of the package-level
-// DistributedUnit.
+// lines) as a real message-passing protocol on dist.Run: one protocol
+// machine per processor, Luby MIS by priority exchange, dual raises
+// propagated to resource-sharing neighbors, and a distributed
+// reverse-stack second phase. With the same seed it selects exactly what
+// TreeUnit/LineUnit select.
 func (c *Compiled) DistributedUnit(opts Options) (*DistributedResult, error) {
 	opts = c.prep(opts)
 	p := c.p
@@ -71,16 +62,6 @@ func (c *Compiled) DistributedUnit(opts Options) (*DistributedResult, error) {
 // DistributedPanconesiSozio runs the single-stage line-network baseline of
 // [15,16] as a message-passing protocol — historically the setting those
 // papers targeted. Unit heights, line networks only.
-func DistributedPanconesiSozio(p *instance.Problem, opts Options) (*DistributedResult, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.DistributedPanconesiSozio(opts)
-}
-
-// DistributedPanconesiSozio is the compiled-model form of the
-// package-level DistributedPanconesiSozio.
 func (c *Compiled) DistributedPanconesiSozio(opts Options) (*DistributedResult, error) {
 	opts = c.prep(opts)
 	p := c.p
@@ -112,16 +93,6 @@ func (c *Compiled) DistributedPanconesiSozio(opts Options) (*DistributedResult, 
 
 // DistributedNarrow runs the §6.1 narrow-instance algorithm as a
 // message-passing protocol; all demands must have effective height ≤ 1/2.
-func DistributedNarrow(p *instance.Problem, opts Options) (*DistributedResult, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.DistributedNarrow(opts)
-}
-
-// DistributedNarrow is the compiled-model form of the package-level
-// DistributedNarrow.
 func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 	opts = c.prep(opts)
 	sm, err := telModel(opts.Telemetry, c.fullModel)

@@ -16,11 +16,11 @@ func TestDistributedMatchesCentralizedTreeUnit(t *testing.T) {
 			N: 10 + rng.Intn(25), Trees: 1 + rng.Intn(3), Demands: 4 + rng.Intn(16), Unit: true,
 		}, rng)
 		seed := uint64(100 + trial)
-		central, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: seed})
+		central, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatalf("trial %d central: %v", trial, err)
 		}
-		distrib, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: seed})
+		distrib, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatalf("trial %d distributed: %v", trial, err)
 		}
@@ -50,11 +50,11 @@ func TestDistributedMatchesCentralizedLineUnit(t *testing.T) {
 			Slots: 16 + rng.Intn(24), Resources: 1 + rng.Intn(3), Demands: 4 + rng.Intn(10), Unit: true,
 		}, rng)
 		seed := uint64(trial)
-		central, err := LineUnit(p, Options{Epsilon: 0.25, Seed: seed})
+		central, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		distrib, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: seed})
+		distrib, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func TestDistributedNarrowMatchesCentralized(t *testing.T) {
 			HMin: 0.2, HMax: 0.5,
 		}, rng)
 		seed := uint64(trial)
-		central, err := NarrowOnly(p, Options{Epsilon: 0.25, Seed: seed})
+		central, err := solve(p, "narrow", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		distrib, err := DistributedNarrow(p, Options{Epsilon: 0.25, Seed: seed})
+		distrib, err := solveDist(p, "dist-narrow", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +96,11 @@ func TestDistributedNarrowCapacitated(t *testing.T) {
 		Capacity: 1.5, CapJitter: 0.4,
 	}, rng)
 	seed := uint64(9)
-	central, err := NarrowOnly(p, Options{Epsilon: 0.25, Seed: seed})
+	central, err := solve(p, "narrow", Options{Epsilon: 0.25, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	distrib, err := DistributedNarrow(p, Options{Epsilon: 0.25, Seed: seed})
+	distrib, err := solveDist(p, "dist-narrow", Options{Epsilon: 0.25, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDistributedRoundsScaleWithLogN(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rounds := func(n int) int {
 		p := gen.TreeProblem(gen.TreeConfig{N: n, Trees: 2, Demands: 20, Unit: true}, rng)
-		d, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: 1})
+		d, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

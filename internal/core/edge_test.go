@@ -21,11 +21,11 @@ func TestEmptyDemandSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() (*Result, error){
-		"tree-unit":  func() (*Result, error) { return TreeUnit(p, Options{}) },
-		"sequential": func() (*Result, error) { return Sequential(p, Options{}) },
-		"arbitrary":  func() (*Result, error) { return Arbitrary(p, Options{}) },
-		"exact":      func() (*Result, error) { return Exact(p, 0) },
-		"greedy":     func() (*Result, error) { return Greedy(p) },
+		"tree-unit":  func() (*Result, error) { return solve(p, "tree-unit", Options{}) },
+		"sequential": func() (*Result, error) { return solve(p, "sequential", Options{}) },
+		"arbitrary":  func() (*Result, error) { return solve(p, "arbitrary", Options{}) },
+		"exact":      func() (*Result, error) { return solve(p, "exact", Options{}) },
+		"greedy":     func() (*Result, error) { return solve(p, "greedy", Options{}) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -35,7 +35,7 @@ func TestEmptyDemandSet(t *testing.T) {
 			t.Fatalf("%s: non-empty result on empty problem", name)
 		}
 	}
-	d, err := DistributedUnit(p, Options{})
+	d, err := solveDist(p, "dist-unit", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestAllDemandsIdentical(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != 1 {
 		t.Fatalf("identical overlapping demands: %d selected, want 1", len(res.Selected))
 	}
-	opt, err := Exact(p, 0)
+	opt, err := solve(p, "exact", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestSpanningDemandOnPathTree(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Exact(p, 0)
+	opt, err := solve(p, "exact", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt.Profit != 4 { // four disjoint unit-profit demands beat the 3-profit spanner
 		t.Fatalf("optimum %g want 4", opt.Profit)
 	}
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 3})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestTwoVertexTree(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != 1 || res.Selected[0].Demand != 1 {
 		t.Fatalf("want the profit-5 demand alone, got %v", res.Selected)
 	}
-	seq, err := Sequential(p, Options{})
+	seq, err := solve(p, "sequential", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSingleSlotLineProblem(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWideOnlyArbitraryEqualsUnitBehavior(t *testing.T) {
 	// path alone.
 	rng := rand.New(rand.NewSource(5))
 	p := gen.TreeProblem(gen.TreeConfig{N: 14, Trees: 2, Demands: 8, HMin: 0.6, HMax: 1.0}, rng)
-	res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestWideOnlyArbitraryEqualsUnitBehavior(t *testing.T) {
 func TestNarrowOnlyArbitrarySinglePart(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := gen.TreeProblem(gen.TreeConfig{N: 14, Trees: 2, Demands: 8, HMin: 0.1, HMax: 0.45}, rng)
-	res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"treesched/internal/conflict"
+	"treesched/internal/dist"
 	"treesched/internal/instance"
 	"treesched/internal/lp"
 	"treesched/internal/mis"
@@ -202,7 +203,7 @@ type solveOutcome struct {
 	Aggs     int
 }
 
-func outcomeOf(res *Result, dres *DistributedResult, err error) solveOutcome {
+func outcomeOf(res *Result, st *dist.Stats, err error) solveOutcome {
 	if err != nil {
 		return solveOutcome{Err: err.Error()}
 	}
@@ -211,66 +212,40 @@ func outcomeOf(res *Result, dres *DistributedResult, err error) solveOutcome {
 		DualUB: res.DualUB, Ratio: res.CertifiedRatio, Bound: res.Bound,
 		Lambda: res.Lambda,
 	}
-	if dres != nil {
-		out.Rounds = dres.Net.Rounds
-		out.Messages = dres.Net.Messages
-		out.Entries = dres.Net.Entries
-		out.Aggs = dres.Net.Aggregations
+	if st != nil {
+		out.Rounds = st.Rounds
+		out.Messages = st.Messages
+		out.Entries = st.Entries
+		out.Aggs = st.Aggregations
 	}
 	return out
 }
 
-// entryPoints enumerates all 12 solver entry points in compiled form.
-var entryPoints = []struct {
-	name string
-	run  func(c *Compiled, opts Options) (*Result, *DistributedResult, error)
-}{
-	{"tree-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.TreeUnit(o); return r, nil, err }},
-	{"line-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.LineUnit(o); return r, nil, err }},
-	{"narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.NarrowOnly(o); return r, nil, err }},
-	{"arbitrary", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Arbitrary(o); return r, nil, err }},
-	{"sequential", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Sequential(o); return r, nil, err }},
-	{"seq-line", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.SequentialLine(o); return r, nil, err }},
-	{"greedy", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Greedy(); return r, nil, err }},
-	{"exact", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Exact(500_000); return r, nil, err }},
-	{"ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.PanconesiSozioUnit(o); return r, nil, err }},
-	{"dist-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedUnit(o); return resOf(d), d, err }},
-	{"dist-narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedNarrow(o); return resOf(d), d, err }},
-	{"dist-ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedPanconesiSozio(o); return resOf(d), d, err }},
-}
-
-func resOf(d *DistributedResult) *Result {
-	if d == nil {
-		return nil
-	}
-	return d.Result
-}
-
-// TestEntryPointsFreshWarmPooledIdentical runs all 12 solver entry points
+// TestEntryPointsFreshWarmPooledIdentical runs every registry entry
 // on all 10 scenarios three ways — fresh Compiled, warm Compiled, warm
 // again on the pooled scratch — and requires identical outcomes
 // (including identical precondition errors where an algorithm does not
 // apply to a scenario).
 func TestEntryPointsFreshWarmPooledIdentical(t *testing.T) {
-	opts := Options{Epsilon: 0.25, Seed: 7}
+	opts := Options{Epsilon: 0.25, Seed: 7, MaxNodes: 500_000}
 	for name, p := range scenarioProblems(t) {
 		warm, err := Compile(p, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, ep := range entryPoints {
-			first := outcomeOf(ep.run(warm, opts))
-			again := outcomeOf(ep.run(warm, opts))
+		for _, ep := range Algorithms() {
+			first := outcomeOf(ep.Run(warm, opts))
+			again := outcomeOf(ep.Run(warm, opts))
 			fresh, err := Compile(p, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			cold := outcomeOf(ep.run(fresh, opts))
+			cold := outcomeOf(ep.Run(fresh, opts))
 			if !reflect.DeepEqual(first, again) {
-				t.Fatalf("%s/%s: pooled re-solve diverged:\n  %+v\nvs\n  %+v", name, ep.name, first, again)
+				t.Fatalf("%s/%s: pooled re-solve diverged:\n  %+v\nvs\n  %+v", name, ep.Name, first, again)
 			}
 			if !reflect.DeepEqual(first, cold) {
-				t.Fatalf("%s/%s: warm vs fresh diverged:\n  %+v\nvs\n  %+v", name, ep.name, first, cold)
+				t.Fatalf("%s/%s: warm vs fresh diverged:\n  %+v\nvs\n  %+v", name, ep.Name, first, cold)
 			}
 		}
 	}

@@ -16,30 +16,17 @@ var ErrExactTooLarge = fmt.Errorf("core: exact solver exceeded its node budget")
 
 // Exact computes the optimal solution by branch and bound, for measuring
 // true approximation ratios on small instances (the problem is NP-hard —
-// §1 — so this cannot scale). maxNodes caps the search-tree size; 0 means
-// 50 million.
-func Exact(p *instance.Problem, maxNodes int64) (*Result, error) {
-	c, err := Compile(p, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.Exact(maxNodes)
-}
-
-// Exact is the compiled-model form of the package-level Exact.
-func (c *Compiled) Exact(maxNodes int64) (*Result, error) {
-	return c.ExactTraced(maxNodes, nil)
-}
-
-// ExactTraced is Exact with a phase timeline recorded on tel (Exact
-// takes no Options, so the telemetry hook is explicit here). A nil tel
-// is exactly Exact.
-func (c *Compiled) ExactTraced(maxNodes int64, tel *obs.Trace) (*Result, error) {
+// §1 — so this cannot scale). opts.MaxNodes caps the search-tree size;
+// 0 means 50 million. Epsilon, Seed and FixedRounds are ignored.
+func (c *Compiled) Exact(opts Options) (*Result, error) {
+	opts = c.prep(opts)
+	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {
 		return nil, err
 	}
 	m := sm.m
+	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 50_000_000
 	}
@@ -139,23 +126,10 @@ func (c *Compiled) ExactTraced(maxNodes int64, tel *obs.Trace) (*Result, error) 
 
 // Greedy is the naive baseline: instances by descending profit, added when
 // they fit. No approximation guarantee; used for experiment context.
-func Greedy(p *instance.Problem) (*Result, error) {
-	c, err := Compile(p, 0)
-	if err != nil {
-		return nil, err
-	}
-	return c.Greedy()
-}
-
-// Greedy is the compiled-model form of the package-level Greedy.
-func (c *Compiled) Greedy() (*Result, error) {
-	return c.GreedyTraced(nil)
-}
-
-// GreedyTraced is Greedy with a phase timeline recorded on tel (Greedy
-// takes no Options, so the telemetry hook is explicit here). A nil tel
-// is exactly Greedy.
-func (c *Compiled) GreedyTraced(tel *obs.Trace) (*Result, error) {
+// Only Telemetry and CompileWorkers are read from opts.
+func (c *Compiled) Greedy(opts Options) (*Result, error) {
+	opts = c.prep(opts)
+	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {
 		return nil, err
@@ -198,6 +172,14 @@ func (c *Compiled) GreedyTraced(tel *obs.Trace) (*Result, error) {
 	}
 	sort.Slice(res.Selected, func(a, b int) bool { return res.Selected[a].ID < res.Selected[b].ID })
 	return res, nil
+}
+
+// GreedyTraced is Greedy with a phase timeline recorded on tel. It stays
+// only because the end-to-end benchmark module calls it
+// (perfbench/traced.go), and that module must keep building against
+// this API unchanged; new code sets Options.Telemetry on Greedy.
+func (c *Compiled) GreedyTraced(tel *obs.Trace) (*Result, error) {
+	return c.Greedy(Options{Telemetry: tel})
 }
 
 // instanceKey identifies an instance descriptor for set comparisons.

@@ -15,7 +15,7 @@ func TestFixedRoundsModeRunsWithoutAggregations(t *testing.T) {
 		p := gen.TreeProblem(gen.TreeConfig{
 			N: 12 + rng.Intn(20), Trees: 1 + rng.Intn(2), Demands: 4 + rng.Intn(12), Unit: true,
 		}, rng)
-		d, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: uint64(trial), FixedRounds: true})
+		d, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: uint64(trial), FixedRounds: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -40,11 +40,11 @@ func TestFixedRoundsDeterministicCost(t *testing.T) {
 	// identical rounds regardless of the demands drawn.
 	rng := rand.New(rand.NewSource(2))
 	p := gen.TreeProblem(gen.TreeConfig{N: 16, Trees: 2, Demands: 8, Unit: true}, rng)
-	a, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: 1, FixedRounds: true})
+	a, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 1, FixedRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DistributedUnit(p, Options{Epsilon: 0.25, Seed: 99, FixedRounds: true})
+	b, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 99, FixedRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFixedRoundsNarrow(t *testing.T) {
 	p := gen.TreeProblem(gen.TreeConfig{
 		N: 14, Trees: 2, Demands: 8, HMin: 0.25, HMax: 0.5,
 	}, rng)
-	d, err := DistributedNarrow(p, Options{Epsilon: 0.25, Seed: 2, FixedRounds: true})
+	d, err := solveDist(p, "dist-narrow", Options{Epsilon: 0.25, Seed: 2, FixedRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func FuzzSolveVerify(f *testing.F) {
 			t.Fatalf("generator emitted an invalid problem: %v", err)
 		}
 
-		res, err := Arbitrary(p, Options{Epsilon: 0.25, Seed: uint64(seed)})
+		res, err := solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: uint64(seed)})
 		if err != nil {
 			t.Fatalf("Arbitrary: %v", err)
 		}

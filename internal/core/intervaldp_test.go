@@ -36,7 +36,7 @@ func TestIntervalDPMatchesBranchAndBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := Exact(p, 0)
+		bb, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

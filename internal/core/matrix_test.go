@@ -29,16 +29,16 @@ func TestAlgorithmTopologyMatrix(t *testing.T) {
 	}
 	algos := []algo{
 		{"tree-unit", true, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return TreeUnit(p, Options{Epsilon: 0.25, Seed: s})
+			return solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: s})
 		}},
 		{"sequential", true, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Sequential(p, Options{})
+			return solve(p, "sequential", Options{})
 		}},
 		{"arbitrary", false, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Arbitrary(p, Options{Epsilon: 0.25, Seed: s})
+			return solve(p, "arbitrary", Options{Epsilon: 0.25, Seed: s})
 		}},
 		{"greedy", false, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Greedy(p)
+			return solve(p, "greedy", Options{})
 		}},
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -81,7 +81,7 @@ func TestDecompositionKindMatrix(t *testing.T) {
 	for _, shape := range []gen.TreeShape{gen.ShapeRandom, gen.ShapePath, gen.ShapeStar} {
 		for _, kind := range []treedecomp.Kind{treedecomp.KindIdeal, treedecomp.KindBalancing, treedecomp.KindRootFixing} {
 			p := gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: 10, Unit: true, Shape: shape}, rng)
-			res, err := TreeUnit(p, Options{Epsilon: 0.25, Seed: 3, DecompKind: kind, CollectTrace: true})
+			res, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 3, DecompKind: kind, CollectTrace: true})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", shape, kind, err)
 			}

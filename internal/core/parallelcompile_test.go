@@ -40,14 +40,14 @@ func TestParallelCompileEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(oracleModel, m) {
 				t.Fatalf("%s: model built with workers=%d differs from the serial oracle", name, w)
 			}
-			for _, ep := range entryPoints {
+			for _, ep := range Algorithms() {
 				for seed := uint64(1); seed <= 3; seed++ {
-					opts := Options{Epsilon: 0.25, Seed: seed}
-					want := outcomeOf(ep.run(oracle, opts))
-					got := outcomeOf(ep.run(c, opts))
+					opts := Options{Epsilon: 0.25, Seed: seed, MaxNodes: 500_000}
+					want := outcomeOf(ep.Run(oracle, opts))
+					got := outcomeOf(ep.Run(c, opts))
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("%s/%s seed %d workers=%d: diverged from serial oracle:\n  %+v\nvs\n  %+v",
-							name, ep.name, seed, w, got, want)
+							name, ep.Name, seed, w, got, want)
 					}
 				}
 			}
@@ -158,7 +158,7 @@ func TestCompileBatchMatchesLoop(t *testing.T) {
 		}
 
 		res, serrs := SolveBatch(cs, workers, func(_ int, c *Compiled) (*Result, error) {
-			return c.Greedy()
+			return c.Greedy(Options{})
 		})
 		for i := range ps {
 			if i == bad {
@@ -170,7 +170,7 @@ func TestCompileBatchMatchesLoop(t *testing.T) {
 			if serrs[i] != nil {
 				t.Fatalf("workers=%d: solve slot %d: %v", workers, i, serrs[i])
 			}
-			want, err := cs[i].Greedy()
+			want, err := cs[i].Greedy(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,18 +8,6 @@ import (
 	"treesched/internal/scenario"
 )
 
-// distEngineAlgos are the distributed drivers the engine-equivalence
-// sweep tries on every scenario; inapplicable (scenario, algo) pairs
-// (wrong kind or height class) must fail identically on both engines.
-var distEngineAlgos = []struct {
-	name string
-	run  func(c *Compiled, opts Options) (*DistributedResult, error)
-}{
-	{"dist-unit", (*Compiled).DistributedUnit},
-	{"dist-narrow", (*Compiled).DistributedNarrow},
-	{"dist-ps", (*Compiled).DistributedPanconesiSozio},
-}
-
 // equivParams caps a preset's sizing so the sweep stays fast: the large-
 // network presets run the same generators at benchmark scale, but the
 // engine-equivalence property is size-independent.
@@ -44,7 +32,10 @@ func equivParams(s *scenario.Scenario) scenario.Params {
 // goroutine-per-processor baseline (DistWorkers < 0).
 func TestPoolEngineMatchesBlockingEverywhere(t *testing.T) {
 	for _, s := range scenario.All() {
-		for _, algo := range distEngineAlgos {
+		for _, algo := range Algorithms() {
+			if !algo.ReadsFixedRounds {
+				continue // the distributed drivers are exactly the entries FixedRounds reaches
+			}
 			for seed := uint64(1); seed <= 3; seed++ {
 				p, err := s.Generate(equivParams(s), int64(seed))
 				if err != nil {
@@ -58,24 +49,24 @@ func TestPoolEngineMatchesBlockingEverywhere(t *testing.T) {
 
 				blockOpts := base
 				blockOpts.DistWorkers = -1
-				ref, refErr := algo.run(c, blockOpts)
+				ref, refErr := runDist(algo, c, blockOpts)
 
 				for _, workers := range []int{0, 1, 3} {
 					poolOpts := base
 					poolOpts.DistWorkers = workers
-					got, gotErr := algo.run(c, poolOpts)
+					got, gotErr := runDist(algo, c, poolOpts)
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s/%s seed %d workers %d: engines disagree on applicability: blocking err %v, pool err %v",
-							s.Name, algo.name, seed, workers, refErr, gotErr)
+							s.Name, algo.Name, seed, workers, refErr, gotErr)
 					}
 					if refErr != nil {
 						if refErr.Error() != gotErr.Error() {
 							t.Fatalf("%s/%s seed %d workers %d: errors differ: %v vs %v",
-								s.Name, algo.name, seed, workers, refErr, gotErr)
+								s.Name, algo.Name, seed, workers, refErr, gotErr)
 						}
 						continue
 					}
-					assertDistEqual(t, s.Name, algo.name, seed, workers, ref, got)
+					assertDistEqual(t, s.Name, algo.Name, seed, workers, ref, got)
 				}
 				if refErr != nil {
 					break // inapplicable pair: no need to re-try seeds

@@ -22,7 +22,7 @@ func TestLargeInstanceCountUsesImplicitPath(t *testing.T) {
 	if len(insts) <= implicitThreshold {
 		t.Fatalf("workload too small to exercise the implicit path: %d instances", len(insts))
 	}
-	res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 1})
+	res, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestImplicitExplicitPhase1Agree(t *testing.T) {
 	p := gen.LineProblem(gen.LineConfig{
 		Slots: 80, Resources: 2, Demands: 90, Unit: true, MaxProc: 8, Slack: 16,
 	}, rng)
-	a, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 5})
+	a, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 5})
+	b, err := solve(p, "line-unit", Options{Epsilon: 0.25, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkLineUnitLargeImplicit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LineUnit(p, Options{Seed: uint64(i)}); err != nil {
+		if _, err := solve(p, "line-unit", Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

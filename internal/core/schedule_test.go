@@ -120,11 +120,11 @@ func TestDistributedPSMatchesCentralized(t *testing.T) {
 			Slots: 20, Resources: 2, Demands: 8, Unit: true, MaxProc: 6,
 		}, rng)
 		seed := uint64(trial)
-		central, err := PanconesiSozioUnit(p, Options{Epsilon: 0.25, Seed: seed})
+		central, err := solve(p, "ps", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		distrib, err := DistributedPanconesiSozio(p, Options{Epsilon: 0.25, Seed: seed})
+		distrib, err := solveDist(p, "dist-ps", Options{Epsilon: 0.25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestDistributedPSMatchesCentralized(t *testing.T) {
 	}
 	// Rejections.
 	tp := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 3, Unit: true}, rng)
-	if _, err := DistributedPanconesiSozio(tp, Options{}); err == nil {
+	if _, err := solveDist(tp, "dist-ps", Options{}); err == nil {
 		t.Fatal("accepted tree problem")
 	}
 }

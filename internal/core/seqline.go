@@ -17,18 +17,9 @@ import (
 // Any instance overlapping a previously processed one must contain that
 // instance's end slot, so π(d) = {end(d)} satisfies the interference
 // property with ∆ = 1, and λ = 1 as every constraint is made tight. By
-// Lemma 3.1 the ratio is (∆+1)/λ = 2, matching [4,5].
-func SequentialLine(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.SequentialLine(opts)
-}
-
-// SequentialLine is the compiled-model form of the package-level
-// SequentialLine. The end-slot critical sets (π(d) = {end(d)}, ∆ = 1) are
-// materialized once in the Compiled's dedicated line model.
+// Lemma 3.1 the ratio is (∆+1)/λ = 2, matching [4,5]. The end-slot
+// critical sets are materialized once in the Compiled's dedicated line
+// model.
 func (c *Compiled) SequentialLine(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	p := c.p

@@ -15,7 +15,7 @@ func TestSequentialLineEndToEnd(t *testing.T) {
 			Slots: 16 + rng.Intn(32), Resources: 1 + rng.Intn(3), Demands: 4 + rng.Intn(14),
 			Unit: true, MaxProc: 8,
 		}, rng)
-		res, err := SequentialLine(p, Options{CollectTrace: true})
+		res, err := solve(p, "seq-line", Options{CollectTrace: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -41,11 +41,11 @@ func TestSequentialLineAgainstExact(t *testing.T) {
 			Slots: 14, Resources: 1 + rng.Intn(2), Demands: 4 + rng.Intn(6),
 			Unit: true, MaxProc: 5,
 		}, rng)
-		res, err := SequentialLine(p, Options{})
+		res, err := solve(p, "seq-line", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := solve(p, "exact", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestSequentialLineMatchesIntervalDPOnTightWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		p := tightLineProblem(rng, 20, 8)
-		seq, err := SequentialLine(p, Options{})
+		seq, err := solve(p, "seq-line", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func TestSequentialLineMatchesIntervalDPOnTightWindows(t *testing.T) {
 func TestSequentialLineRejections(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tp := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 3, Unit: true}, rng)
-	if _, err := SequentialLine(tp, Options{}); err == nil {
+	if _, err := solve(tp, "seq-line", Options{}); err == nil {
 		t.Fatal("accepted tree problem")
 	}
 	nu := gen.LineProblem(gen.LineConfig{Slots: 10, Resources: 1, Demands: 3, HMin: 0.3, HMax: 0.5}, rng)
-	if _, err := SequentialLine(nu, Options{}); err == nil {
+	if _, err := solve(nu, "seq-line", Options{}); err == nil {
 		t.Fatal("accepted non-unit heights")
 	}
 }

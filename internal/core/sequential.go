@@ -14,15 +14,6 @@ import (
 // π(d) = wings of the capture node (∆=2), slackness λ=1. The guarantee is
 // 3 (Lemma 3.1 with ∆=2, λ=1), improving to 2 when there is a single
 // tree-network (the α variables are dropped, matching Lewin-Eytan et al.).
-func Sequential(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.Sequential(opts)
-}
-
-// Sequential is the compiled-model form of the package-level Sequential.
 // It uses the Compiled's lazily built Appendix-A model (root-fixing
 // decomposition, capture-wing critical sets), not the full model.
 func (c *Compiled) Sequential(opts Options) (*Result, error) {

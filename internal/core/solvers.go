@@ -67,6 +67,10 @@ type Options struct {
 	// byte-identical across all settings; only execution cost differs.
 	// Ignored by centralized drivers.
 	DistWorkers int
+	// MaxNodes caps the search-tree size of the exact branch and bound
+	// (0 = 50 million); past it Exact fails with ErrExactTooLarge.
+	// Ignored by every other solver.
+	MaxNodes int64
 	// CompileWorkers bounds the model-build fan-out of any lazy
 	// compilation this solve triggers: 0 keeps the compilation's current
 	// setting (default GOMAXPROCS), 1 (or any negative value) is the
@@ -168,16 +172,7 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 // distributed (7+ε)-approximation for unit-height demands on tree
 // networks, using the ideal tree decomposition (∆=6) and the multi-stage
 // schedule (λ = 1−ε). This entry point uses the fast centralized driver;
-// see DistributedRun for the goroutine message-passing driver.
-func TreeUnit(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.TreeUnit(opts)
-}
-
-// TreeUnit is the compiled-model form of the package-level TreeUnit.
+// see DistributedUnit for the message-passing driver.
 func (c *Compiled) TreeUnit(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	if c.p.Kind != instance.KindTree {
@@ -199,15 +194,6 @@ func (c *Compiled) TreeUnit(opts Options) (*Result, error) {
 // LineUnit runs the improved unit-height line-network algorithm with
 // windows (§7, Theorem 7.1): ∆=3 length-doubling layers, λ = 1−ε, bound
 // 4+ε (vs Panconesi–Sozio's 20+ε).
-func LineUnit(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.LineUnit(opts)
-}
-
-// LineUnit is the compiled-model form of the package-level LineUnit.
 func (c *Compiled) LineUnit(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	if c.p.Kind != instance.KindLine {
@@ -238,15 +224,6 @@ func narrowRule(p *instance.Problem) lp.Rule {
 // NarrowOnly runs the §6.1 narrow-instance algorithm (Lemma 6.2) on a
 // problem whose demands all have effective height ≤ 1/2. The guarantee is
 // (2∆²+1)/(1−ε): 73+ε on trees, 19+ε on lines.
-func NarrowOnly(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.NarrowOnly(opts)
-}
-
-// NarrowOnly is the compiled-model form of the package-level NarrowOnly.
 func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	sm, err := telModel(opts.Telemetry, c.fullModel)
@@ -268,19 +245,9 @@ func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
 // (effective height > 1/2) or narrow, the unit-height algorithm handles
 // the wide class, the narrow algorithm the rest, and per network the more
 // profitable of the two sub-solutions is kept. Bounds: 80+ε (trees),
-// 23+ε (lines).
-func Arbitrary(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.Arbitrary(opts)
-}
-
-// Arbitrary is the compiled-model form of the package-level Arbitrary.
-// The demand-level wide/narrow classification keeps every demand entirely
-// in one class, which the combining step relies on (§6 "Overall
-// Algorithm"); the two sub-models are built once per Compiled.
+// 23+ε (lines). The demand-level wide/narrow classification keeps every
+// demand entirely in one class, which the combining step relies on (§6
+// "Overall Algorithm"); the two sub-models are built once per Compiled.
 func (c *Compiled) Arbitrary(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	tel := opts.Telemetry
@@ -384,16 +351,6 @@ func combinePerNetwork(p *instance.Problem, name string, parts []*Result) (*Resu
 // schedule of §5 is needed for trees. The arbitrary-height baseline of
 // [16] is not reproduced: the supplied text does not specify its raise
 // rule (see DESIGN.md).
-func PanconesiSozioUnit(p *instance.Problem, opts Options) (*Result, error) {
-	c, err := Compile(p, opts.DecompKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.PanconesiSozioUnit(opts)
-}
-
-// PanconesiSozioUnit is the compiled-model form of the package-level
-// PanconesiSozioUnit.
 func (c *Compiled) PanconesiSozioUnit(opts Options) (*Result, error) {
 	opts = c.prep(opts)
 	if c.p.Kind != instance.KindLine {

@@ -21,74 +21,7 @@ import (
 	"treesched/internal/scenario"
 )
 
-// tracedEntryPoints enumerates all 12 solver entry points with an
-// explicit telemetry argument (Exact and Greedy take no Options, so
-// their hook is the *Traced variant).
-var tracedEntryPoints = []struct {
-	name string
-	run  func(c *Compiled, opts Options, tel *obs.Trace) (*Result, *DistributedResult, error)
-}{
-	{"tree-unit", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.TreeUnit(o)
-		return r, nil, err
-	}},
-	{"line-unit", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.LineUnit(o)
-		return r, nil, err
-	}},
-	{"narrow", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.NarrowOnly(o)
-		return r, nil, err
-	}},
-	{"arbitrary", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.Arbitrary(o)
-		return r, nil, err
-	}},
-	{"sequential", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.Sequential(o)
-		return r, nil, err
-	}},
-	{"seq-line", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.SequentialLine(o)
-		return r, nil, err
-	}},
-	{"greedy", func(c *Compiled, _ Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		r, err := c.GreedyTraced(tel)
-		return r, nil, err
-	}},
-	{"exact", func(c *Compiled, _ Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		r, err := c.ExactTraced(500_000, tel)
-		return r, nil, err
-	}},
-	{"ps", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		r, err := c.PanconesiSozioUnit(o)
-		return r, nil, err
-	}},
-	{"dist-unit", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		d, err := c.DistributedUnit(o)
-		return resOf(d), d, err
-	}},
-	{"dist-narrow", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		d, err := c.DistributedNarrow(o)
-		return resOf(d), d, err
-	}},
-	{"dist-ps", func(c *Compiled, o Options, tel *obs.Trace) (*Result, *DistributedResult, error) {
-		o.Telemetry = tel
-		d, err := c.DistributedPanconesiSozio(o)
-		return resOf(d), d, err
-	}},
-}
-
-// TestTelemetryEquivalence runs all 12 entry points over every scenario
+// TestTelemetryEquivalence runs every registry entry over every scenario
 // and three seeds, once with Telemetry nil and once with a fresh Trace,
 // and requires byte-identical outcomes — including identical
 // precondition errors where an algorithm does not apply. Telemetry is
@@ -99,18 +32,19 @@ func TestTelemetryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, ep := range tracedEntryPoints {
+		for _, ep := range Algorithms() {
 			for seed := uint64(1); seed <= 3; seed++ {
-				opts := Options{Epsilon: 0.25, Seed: seed}
-				plain := outcomeOf(ep.run(c, opts, nil))
+				opts := Options{Epsilon: 0.25, Seed: seed, MaxNodes: 500_000}
+				plain := outcomeOf(ep.Run(c, opts))
 				tel := obs.NewTrace()
-				traced := outcomeOf(ep.run(c, opts, tel))
+				opts.Telemetry = tel
+				traced := outcomeOf(ep.Run(c, opts))
 				if !reflect.DeepEqual(plain, traced) {
 					t.Fatalf("%s/%s seed %d: traced solve diverged:\n  %+v\nvs\n  %+v",
-						name, ep.name, seed, plain, traced)
+						name, ep.Name, seed, plain, traced)
 				}
 				if plain.Err == "" && len(tel.Spans()) == 0 {
-					t.Fatalf("%s/%s seed %d: successful traced solve recorded no spans", name, ep.name, seed)
+					t.Fatalf("%s/%s seed %d: successful traced solve recorded no spans", name, ep.Name, seed)
 				}
 			}
 		}

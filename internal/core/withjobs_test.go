@@ -16,26 +16,6 @@ import (
 // Compile + solve of the same effective instance, for every algorithm
 // applicable to the problem class.
 
-// wjSolvers maps algorithm names to compiled solves returning a
-// canonical, comparable form.
-var wjSolvers = map[string]func(c *Compiled, opts Options) (*Result, error){
-	"tree-unit":  (*Compiled).TreeUnit,
-	"line-unit":  (*Compiled).LineUnit,
-	"narrow":     (*Compiled).NarrowOnly,
-	"arbitrary":  (*Compiled).Arbitrary,
-	"sequential": (*Compiled).Sequential,
-	"seq-line":   (*Compiled).SequentialLine,
-	"ps":         (*Compiled).PanconesiSozioUnit,
-	"greedy":     func(c *Compiled, _ Options) (*Result, error) { return c.Greedy() },
-	"dist-unit": func(c *Compiled, opts Options) (*Result, error) {
-		dr, err := c.DistributedUnit(opts)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Result, nil
-	},
-}
-
 // canonical marshals the deterministic face of a Result: everything a
 // serving response would carry. Byte equality of two canonical forms is
 // the test's identity notion.
@@ -120,7 +100,7 @@ func TestWithJobsEquivalence(t *testing.T) {
 				// The delta path requires a built model; a first solve
 				// (any algorithm) builds it, as a session's first resolve
 				// would.
-				if _, err := wjSolvers[cfg.algos[0]](c, Options{Seed: uint64(seed)}); err != nil {
+				if _, err := solveCompiled(c, cfg.algos[0], Options{Seed: uint64(seed)}); err != nil {
 					t.Fatal(err)
 				}
 
@@ -157,11 +137,11 @@ func TestWithJobsEquivalence(t *testing.T) {
 						t.Fatalf("round %d: reference compile: %v", round, err)
 					}
 					for _, algo := range cfg.algos {
-						got, err := wjSolvers[algo](nc, Options{Seed: uint64(seed)})
+						got, err := solveCompiled(nc, algo, Options{Seed: uint64(seed)})
 						if err != nil {
 							t.Fatalf("round %d: %s on delta: %v", round, algo, err)
 						}
-						want, err := wjSolvers[algo](ref, Options{Seed: uint64(seed)})
+						want, err := solveCompiled(ref, algo, Options{Seed: uint64(seed)})
 						if err != nil {
 							t.Fatalf("round %d: %s on reference: %v", round, algo, err)
 						}
@@ -171,7 +151,7 @@ func TestWithJobsEquivalence(t *testing.T) {
 								round, algo, nc.Incremental(), g, w)
 						}
 						// The pooled re-solve must reproduce itself.
-						again, err := wjSolvers[algo](nc, Options{Seed: uint64(seed)})
+						again, err := solveCompiled(nc, algo, Options{Seed: uint64(seed)})
 						if err != nil {
 							t.Fatalf("round %d: %s re-solve: %v", round, algo, err)
 						}

@@ -5,8 +5,8 @@ import "testing"
 // benchBody is a protocol shaped like the core hot path: every processor
 // broadcasts a small payload each round, double-buffering the payload the
 // same way the protocol engine's arena does, and folds its inbox.
-func benchBody(rounds, entries int) func(*API) {
-	return func(api *API) {
+func benchBody(rounds, entries int) func(*blockingAPI) {
+	return func(api *blockingAPI) {
 		var bufs [2]idsPayload
 		for i := range bufs {
 			bufs[i].Ids = make([]int32, entries)
@@ -33,7 +33,7 @@ func BenchmarkRingBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunOn(NewLocalTransport(adj), body)
+		runBlocking(adj, nil, body)
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkCompleteBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunOn(NewLocalTransport(adj), body)
+		runBlocking(adj, nil, body)
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(adj, func(api *API) {
+		runBlocking(adj, nil, func(api *blockingAPI) {
 			for r := 0; r < 32; r++ {
 				api.Aggregate(r%7 == 0)
 			}
@@ -96,7 +96,7 @@ func benchPool(b *testing.B, adj [][]int32, rounds, entries int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunProcs(NewLocalTransport(adj), 0, func(u int) Proc {
+		Run(adj, 0, nil, func(u int) Proc {
 			return &benchPoolProc{id: u, rounds: rounds, entries: entries}
 		})
 	}

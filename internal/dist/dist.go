@@ -1,22 +1,25 @@
 // Package dist is a synchronous message-passing (BSP) simulator: the
 // execution substrate of the paper's distributed protocols (§2 "the
-// distributed setting", §5 "Distributed Implementation"). Every processor
-// runs as one goroutine; processors advance in barrier-synchronized
-// rounds, and in each round a processor may hand one payload to the
-// transport, which delivers it to every neighbor in the communication
-// graph before any processor starts the next round.
+// distributed setting", §5 "Distributed Implementation"). Processors are
+// resumable step machines (Proc) that advance in barrier-synchronized
+// rounds; in each round a processor may hand one payload to the runtime,
+// which delivers it to every neighbor in the communication graph before
+// any processor starts the next round. Run is the one entry point. It
+// executes the machines on the sharded worker-pool engine (engine.go) or
+// on the goroutine-per-processor reference engine (the blocking
+// coordinator in dist.go), with identical results.
 //
 // # Cost accounting
 //
 // Stats measures the communication complexity currency of the paper:
 //
 //   - Rounds counts synchronous communication rounds — one per
-//     Broadcast/Exchange barrier. This is the quantity bounded by
+//     exchange barrier. This is the quantity bounded by
 //     Theorem 5.3's O(Time(MIS)·log m·log pmax/ε) round complexity.
-//   - Messages counts point-to-point deliveries: a Broadcast by a
-//     processor of degree d costs d messages. Silent participation
-//     (Exchange(nil)) costs a round but no messages.
-//   - Aggregations counts global boolean OR reductions (Aggregate).
+//   - Messages counts point-to-point deliveries: a payload sent by a
+//     processor of degree d costs d messages. Silent participation (an
+//     exchange with a nil payload) costs a round but no messages.
+//   - Aggregations counts global boolean OR reductions (OpAggregate).
 //     The paper realizes these as convergecasts over a spanning tree at
 //     O(diameter) rounds each; they are tallied separately so both
 //     accountings can be reported. The fixed-rounds schedules of §5
@@ -34,13 +37,14 @@
 //
 // # Early exit
 //
-// A processor may return from its body at any point (e.g. on a protocol
+// A processor may depart at any point (OpDone, e.g. on a protocol
 // error). Departed processors leave the barrier group: they send nothing,
 // receive nothing (deliveries to them are neither made nor counted), vote
 // false, and the remaining processors keep advancing — no deadlock.
 package dist
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -51,7 +55,7 @@ import (
 type Message struct {
 	// From is the sending processor's id.
 	From int32
-	// Payload is the value the sender passed to Broadcast/Exchange.
+	// Payload is the value the sender exchanged.
 	// Received payloads are shared, not copied: receivers must treat them
 	// as read-only and must not retain them past their next collective
 	// call (senders may reuse payload buffers two rounds later).
@@ -69,8 +73,8 @@ type Sizer interface {
 // Stats is the measured network cost of one Run. See the package comment
 // for the accounting rules.
 type Stats struct {
-	// Rounds is the number of synchronous communication rounds
-	// (Broadcast/Exchange barriers).
+	// Rounds is the number of synchronous communication rounds (exchange
+	// barriers).
 	Rounds int
 	// Messages is the number of point-to-point payload deliveries.
 	Messages int64
@@ -80,23 +84,49 @@ type Stats struct {
 	Entries int64
 }
 
-// API is a processor's handle to the runtime, valid only inside the body
-// passed to Run.
-type API struct {
+// Run executes one Proc per processor of the communication graph adj
+// (adjacency lists over processor ids, copied and sorted, so delivery
+// order never depends on how the caller ordered neighbors) and returns
+// the measured network cost.
+//
+// workers selects the engine. workers ≥ 0 runs the sharded worker pool
+// on min(workers, n) goroutines, 0 meaning GOMAXPROCS. workers < 0 runs
+// the goroutine-per-processor reference engine, the blocking coordinator
+// that every pool execution is tested against. Stats and every
+// processor's observation stream are identical on both engines at any
+// worker count.
+//
+// A non-nil rl receives one obs.RoundSample per completed collective:
+// kind, messages, entries, and the wall time since the previous
+// completion. Only that wall time varies between runs and engines, and
+// a nil rl costs one pointer check per round.
+func Run(adj [][]int32, workers int, rl *obs.RoundLog, mk func(u int) Proc) Stats {
+	if workers < 0 {
+		return runBlocking(adj, rl, func(api *blockingAPI) { api.drive(mk(api.id)) })
+	}
+	return runPool(newLocalTransport(adj), workers, rl, mk)
+}
+
+// blockingAPI is a processor's handle to the reference engine, valid
+// only inside the body passed to runBlocking. It is the natural way to
+// write a protocol — blocking collective calls — and the form the
+// reference engine's own tests are written in; Run drives Procs through
+// it with drive.
+type blockingAPI struct {
 	id int
 	c  *coordinator
 }
 
 // ID returns the processor id (an index into the adjacency lists; for the
 // scheduling protocols, the demand/processor id).
-func (a *API) ID() int { return a.id }
+func (a *blockingAPI) ID() int { return a.id }
 
 // Broadcast sends payload to every neighbor and returns the messages
 // received this round, in ascending sender order. It blocks until every
 // live processor has entered the round. The returned slice and the
 // received payloads are only valid until the processor's next collective
 // call.
-func (a *API) Broadcast(payload any) []Message {
+func (a *blockingAPI) Broadcast(payload any) []Message {
 	if payload == nil {
 		panic("dist: Broadcast requires a payload; use Exchange(nil) to stay silent")
 	}
@@ -108,7 +138,7 @@ func (a *API) Broadcast(payload any) []Message {
 // every neighbor if non-nil and nothing otherwise, and returns the
 // messages received. Exchange(nil) is how a processor with nothing to say
 // stays in lockstep with its peers.
-func (a *API) Exchange(payload any) []Message {
+func (a *blockingAPI) Exchange(payload any) []Message {
 	msgs, _ := a.c.collective(a.id, opExchange, payload, false)
 	return msgs
 }
@@ -117,31 +147,36 @@ func (a *API) Exchange(payload any) []Message {
 // returns true iff any live processor voted true this round. Every live
 // processor must call Aggregate in the same round (the protocols use it
 // as their loop-termination test).
-func (a *API) Aggregate(vote bool) bool {
+func (a *blockingAPI) Aggregate(vote bool) bool {
 	_, r := a.c.collective(a.id, opAggregate, nil, vote)
 	return r
 }
 
-// Run executes body once per processor of the communication graph adj
-// (adjacency lists over processor ids) on the in-process goroutine
-// transport and returns the measured network cost.
-func Run(adj [][]int32, body func(*API)) Stats {
-	return RunOn(NewLocalTransport(adj), body)
+// drive runs one resumable processor to completion on the blocking
+// engine, issuing each requested collective as the matching call.
+func (a *blockingAPI) drive(p Proc) {
+	var in In
+	for {
+		req := p.Step(in)
+		switch req.Op {
+		case OpDone:
+			return
+		case OpExchange:
+			in = In{Msgs: a.Exchange(req.Payload)}
+		case OpAggregate:
+			in = In{Agg: a.Aggregate(req.Vote)}
+		default:
+			panic(fmt.Sprintf("dist: invalid OpKind %d", req.Op))
+		}
+	}
 }
 
-// RunOn executes body once per processor on an arbitrary Transport.
-func RunOn(tr Transport, body func(*API)) Stats {
-	return RunOnObserved(tr, body, nil)
-}
-
-// RunOnObserved is RunOn with per-superstep telemetry: when rl is
-// non-nil, every completed collective appends one obs.RoundSample
-// (kind, messages, entries, and the wall time since the previous
-// round's completion). Sampling never alters the execution — Stats and
-// every observation stream are identical with rl nil or not — and a
-// nil rl costs one pointer check per round.
-func RunOnObserved(tr Transport, body func(*API), rl *obs.RoundLog) Stats {
-	n := tr.NumNodes()
+// runBlocking is the reference engine: body runs once per processor of
+// adj, each on its own goroutine, and the coordinator's barrier completes
+// every collective. A non-nil rl is sampled exactly as Run documents.
+func runBlocking(adj [][]int32, rl *obs.RoundLog, body func(*blockingAPI)) Stats {
+	tr := newLocalTransport(adj)
+	n := len(tr.adj)
 	if n == 0 {
 		return Stats{}
 	}
@@ -153,7 +188,7 @@ func RunOnObserved(tr Transport, body func(*API), rl *obs.RoundLog) Stats {
 		go func(u int) {
 			defer wg.Done()
 			defer c.depart(u)
-			body(&API{id: u, c: c})
+			body(&blockingAPI{id: u, c: c})
 		}(u)
 	}
 	wg.Wait()
@@ -172,12 +207,12 @@ const (
 
 // coordinator implements the barrier: processors entering a collective
 // deposit their contribution and block; the last arrival completes the
-// round — one batched Transport.Deliver call for an exchange, one OR for
+// round — one batched deliver call for an exchange, one OR for
 // an aggregation — and releases everyone. No per-message channel sends:
 // the whole round is two lock acquisitions per processor plus a single
 // delivery pass.
 type coordinator struct {
-	tr Transport
+	tr *localTransport
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -208,7 +243,7 @@ func (c *coordinator) observe(rl *obs.RoundLog) {
 	}
 }
 
-func newCoordinator(tr Transport, n int) *coordinator {
+func newCoordinator(tr *localTransport, n int) *coordinator {
 	c := &coordinator{
 		tr:    tr,
 		live:  n,
@@ -254,7 +289,7 @@ func (c *coordinator) finishRound() {
 	switch c.kind {
 	case opExchange:
 		c.stats.Rounds++
-		msgs, entries := c.tr.Deliver(c.out, c.in, c.alive)
+		msgs, entries := c.tr.deliver(c.out, c.in, c.alive)
 		c.stats.Messages += msgs
 		c.stats.Entries += entries
 		for i := range c.out {

@@ -57,7 +57,7 @@ func TestDeterminism(t *testing.T) {
 	const n, rounds = 9, 12
 	run := func() (Stats, []int64) {
 		sums := make([]int64, n)
-		stats := Run(ring(n), func(api *API) {
+		stats := runBlocking(ring(n), nil, func(api *blockingAPI) {
 			id := api.ID()
 			var sum int64
 			for r := 0; r < rounds; r++ {
@@ -101,7 +101,7 @@ func TestDeterminism(t *testing.T) {
 func TestBarrierLockstep(t *testing.T) {
 	const n, rounds = 8, 20
 	errs := make([]error, n)
-	Run(complete(n), func(api *API) {
+	runBlocking(complete(n), nil, func(api *blockingAPI) {
 		id := api.ID()
 		for r := 0; r < rounds; r++ {
 			stagger(id, r)
@@ -136,7 +136,7 @@ func TestBarrierLockstep(t *testing.T) {
 func TestAggregateSemantics(t *testing.T) {
 	const n = 6
 	results := make([][]bool, n)
-	stats := Run(complete(n), func(api *API) {
+	stats := runBlocking(complete(n), nil, func(api *blockingAPI) {
 		id := api.ID()
 		// Round r: only processor r votes true; the last round is
 		// unanimous false and must short-circuit every loop together.
@@ -169,7 +169,7 @@ func TestDepartedProcessorsLeaveTheBarrier(t *testing.T) {
 	const n = 5
 	counts := make([][]int, n)
 	soloFalse, soloTrue := true, false
-	stats := Run(complete(n), func(api *API) {
+	stats := runBlocking(complete(n), nil, func(api *blockingAPI) {
 		id := api.ID()
 		// Processor u survives u+1 exchange rounds, then departs; the
 		// longest-lived processor follows with aggregations.
@@ -217,7 +217,7 @@ func TestDepartedProcessorsLeaveTheBarrier(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	adj := [][]int32{{1}, {0, 2}, {1}} // path 0-1-2
 	const rounds = 4
-	stats := Run(adj, func(api *API) {
+	stats := runBlocking(adj, nil, func(api *blockingAPI) {
 		p := &idsPayload{Ids: []int32{1, 2}}
 		for r := 0; r < rounds; r++ {
 			api.Broadcast(p)
@@ -241,10 +241,10 @@ func TestAccounting(t *testing.T) {
 // TestEdgeTopologies: zero processors is a no-op; an isolated processor
 // still pays rounds but hears nothing.
 func TestEdgeTopologies(t *testing.T) {
-	if stats := Run(nil, func(api *API) { t.Error("body ran with no processors") }); stats != (Stats{}) {
+	if stats := runBlocking(nil, nil, func(api *blockingAPI) { t.Error("body ran with no processors") }); stats != (Stats{}) {
 		t.Fatalf("empty run recorded traffic: %+v", stats)
 	}
-	stats := Run([][]int32{{}}, func(api *API) {
+	stats := runBlocking([][]int32{{}}, nil, func(api *blockingAPI) {
 		if in := api.Broadcast(&idsPayload{Ids: []int32{7}}); len(in) != 0 {
 			t.Errorf("isolated processor received %d messages", len(in))
 		}
@@ -262,7 +262,7 @@ func TestEdgeTopologies(t *testing.T) {
 // sorted (Problem.CommGraph emits access-order lists).
 func TestUnsortedAdjacencyIsNormalized(t *testing.T) {
 	adj := [][]int32{{2, 1}, {0, 2}, {1, 0}}
-	Run(adj, func(api *API) {
+	runBlocking(adj, nil, func(api *blockingAPI) {
 		in := api.Broadcast(&idsPayload{Ids: []int32{int32(api.ID())}})
 		prev := int32(-1)
 		for _, m := range in {

@@ -1,15 +1,15 @@
 package dist
 
-// The sharded worker-pool BSP engine: the scale substrate behind the
-// goroutine-per-processor runtime in dist.go. The blocking runtime is the
-// natural way to *write* a protocol, but at the network sizes where the
-// paper's O(log m) round bounds matter (10^5 processors, cf. the SINR
-// link-scheduling benchmarks of Pei–Kumar and Halldórsson–Mitra) it
-// drowns in goroutine stacks and a single contended barrier mutex. Here a
-// processor is instead a *resumable step function* (Proc): W workers each
-// own one contiguous shard of processors and advance them cooperatively,
-// one Step call per processor per collective, so a whole network runs on
-// W ≈ GOMAXPROCS goroutines.
+// The sharded worker-pool BSP engine, Run's default: the scale substrate
+// beside the goroutine-per-processor reference engine in dist.go. The
+// blocking runtime is the natural way to *write* a protocol, but at the
+// network sizes where the paper's O(log m) round bounds matter (10^5
+// processors, cf. the SINR link-scheduling benchmarks of Pei–Kumar and
+// Halldórsson–Mitra) it drowns in goroutine stacks and a single contended
+// barrier mutex. Here a processor is instead a *resumable step function*
+// (Proc): W workers each own one contiguous shard of processors and
+// advance them cooperatively, one Step call per processor per collective,
+// so a whole network runs on W ≈ GOMAXPROCS goroutines.
 //
 // # Round structure and the two-level barrier
 //
@@ -37,14 +37,13 @@ package dist
 //
 // # Determinism
 //
-// The engine is observationally identical to running the same Procs on
-// the blocking runtime (RunProcsBlocking), and that equivalence is
-// tested: shards partition the id space contiguously, each worker steps
+// The engine is observationally identical to running the same Procs on the
+// blocking reference engine (Run with workers < 0), and that equivalence
+// is tested: shards partition the id space contiguously, each worker steps
 // its shard in ascending id order, delivery produces ascending-sender
 // inboxes, and all cross-shard combination (votes, message counts) is
-// order-independent (OR and sums). Stats and every processor's
-// observation stream are byte-identical across engines, worker counts and
-// runs.
+// order-independent (OR and sums). Stats and every processor's observation
+// stream are byte-identical across engines, worker counts and runs.
 //
 // # Departure
 //
@@ -72,15 +71,14 @@ const (
 	// OpDone departs: the processor's body is finished. Terminal.
 	OpDone OpKind = iota
 	// OpExchange participates in a communication round; a nil Payload
-	// stays silent (the Exchange(nil) of the blocking API).
+	// stays silent.
 	OpExchange
 	// OpAggregate contributes Vote to a global boolean OR.
 	OpAggregate
 )
 
-// Req is a processor's contribution to its next collective: what the
-// blocking API expresses as a Broadcast/Exchange/Aggregate call or a
-// body return, expressed as a value.
+// Req is a processor's contribution to its next collective: an exchange
+// payload, an aggregate vote, or departure, expressed as a value.
 type Req struct {
 	Op      OpKind
 	Payload any  // OpExchange: the payload to send; nil = silent
@@ -102,29 +100,17 @@ type In struct {
 // Proc is a resumable processor body: the runtime calls Step once per
 // collective, handing it the previous collective's result and receiving
 // the next request. Step must not retain In.Msgs or the received payloads
-// past its return (the same sharing contract as the blocking Message
-// doc), and must not block.
+// past its return (the sharing contract of Message), and must not block.
 type Proc interface {
 	Step(in In) Req
 }
 
-// RunProcs executes one Proc per processor of tr's communication graph on
-// the sharded worker-pool engine and returns the measured network cost.
-// workers ≤ 0 defaults to GOMAXPROCS; the engine runs on exactly
-// min(workers, n) goroutines regardless of network size. Stats and every
-// processor's observation stream are identical to RunProcsBlocking(tr, mk)
-// — and so to the goroutine-per-processor runtime — for any worker count.
-func RunProcs(tr Transport, workers int, mk func(u int) Proc) Stats {
-	return RunProcsObserved(tr, workers, mk, nil)
-}
-
-// RunProcsObserved is RunProcs with per-superstep telemetry: a non-nil
-// rl receives one obs.RoundSample per completed collective. The sample
-// sequence (kind, messages, entries) is byte-identical to the one
-// RunOnObserved records for the same protocol — only StepNs, a wall
-// measurement, differs. A nil rl costs one pointer check per round.
-func RunProcsObserved(tr Transport, workers int, mk func(u int) Proc, rl *obs.RoundLog) Stats {
-	n := tr.NumNodes()
+// runPool executes one Proc per processor of tr's communication graph
+// on the sharded worker-pool engine. workers ≤ 0 defaults to GOMAXPROCS;
+// the engine runs on exactly min(workers, n) goroutines regardless of
+// network size.
+func runPool(tr *localTransport, workers int, rl *obs.RoundLog, mk func(u int) Proc) Stats {
+	n := len(tr.adj)
 	if n == 0 {
 		return Stats{}
 	}
@@ -140,38 +126,6 @@ func RunProcsObserved(tr Transport, workers int, mk func(u int) Proc, rl *obs.Ro
 	return e.stats
 }
 
-// RunProcsBlocking executes the same resumable processors on the
-// goroutine-per-processor runtime: each Proc is driven by a blocking
-// adapter goroutine through the original coordinator. This is the
-// reference semantics of RunProcs, the equivalence-test oracle, and the
-// benchmark anchor the pool engine is measured against.
-func RunProcsBlocking(tr Transport, mk func(u int) Proc) Stats {
-	return RunProcsBlockingObserved(tr, mk, nil)
-}
-
-// RunProcsBlockingObserved is RunProcsBlocking with the round log of
-// RunOnObserved attached — the observed analogue on the
-// goroutine-per-processor runtime.
-func RunProcsBlockingObserved(tr Transport, mk func(u int) Proc, rl *obs.RoundLog) Stats {
-	return RunOnObserved(tr, func(api *API) {
-		p := mk(api.ID())
-		var in In
-		for {
-			req := p.Step(in)
-			switch req.Op {
-			case OpDone:
-				return
-			case OpExchange:
-				in = In{Msgs: api.Exchange(req.Payload)}
-			case OpAggregate:
-				in = In{Agg: api.Aggregate(req.Vote)}
-			default:
-				panic(fmt.Sprintf("dist: invalid OpKind %d", req.Op))
-			}
-		}
-	}, rl)
-}
-
 // shardState is one worker's private slice of the engine plus its round
 // summary. Workers write only their own shard's entries of the global
 // vectors between barriers, so no field here is ever contended.
@@ -185,13 +139,12 @@ type shardState struct {
 
 	msgs, entries int64 // per-round delivery counts (phase B)
 
-	arena InboxArena // the shard's inbox storage, reused across rounds
+	arena inboxArena // the shard's inbox storage, reused across rounds
 }
 
-// poolEngine is the shared state of one RunProcs execution.
+// poolEngine is the shared state of one pool execution.
 type poolEngine struct {
-	tr  Transport
-	str ShardTransport // tr if it supports sharded delivery, else nil
+	tr *localTransport
 
 	n       int
 	workers int
@@ -244,7 +197,7 @@ func (e *poolEngine) sample(kind string, msgs, entries int64) {
 	e.lastMark = now
 }
 
-func newPoolEngine(tr Transport, n, workers int, mk func(u int) Proc) *poolEngine {
+func newPoolEngine(tr *localTransport, n, workers int, mk func(u int) Proc) *poolEngine {
 	e := &poolEngine{
 		tr:      tr,
 		n:       n,
@@ -254,9 +207,6 @@ func newPoolEngine(tr Transport, n, workers int, mk func(u int) Proc) *poolEngin
 		out:     make([]any, n),
 		in:      make([][]Message, n),
 		shards:  make([]shardState, workers),
-	}
-	if st, ok := tr.(ShardTransport); ok {
-		e.str = st
 	}
 	e.bar.init(workers)
 	e.liveTotal = n
@@ -368,14 +318,7 @@ func (e *poolEngine) worker(w int) {
 		}
 
 		// Phase B: shard-parallel delivery into the shard's arena.
-		if e.str != nil {
-			sh.msgs, sh.entries = e.str.DeliverShard(e.out, e.senders, e.alive, e.in, &sh.arena, sh.lo, sh.hi)
-		} else if w == 0 {
-			// Unsharded transport: one worker routes the whole round.
-			sh.msgs, sh.entries = e.tr.Deliver(e.out, e.in, e.alive)
-		} else {
-			sh.msgs, sh.entries = 0, 0
-		}
+		sh.msgs, sh.entries = e.tr.deliverShard(e.out, e.senders, e.alive, e.in, &sh.arena, sh.lo, sh.hi)
 		e.bar.await(e.tally)
 	}
 }

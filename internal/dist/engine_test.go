@@ -65,13 +65,10 @@ func runMirror(adj [][]int32, rounds, aggRounds, workers int, blocking bool) (St
 		procs[u] = &mirrorProc{id: u, rounds: rounds, aggRounds: aggRounds}
 		return procs[u]
 	}
-	tr := NewLocalTransport(adj)
-	var stats Stats
 	if blocking {
-		stats = RunProcsBlocking(tr, mk)
-	} else {
-		stats = RunProcs(tr, workers, mk)
+		workers = -1
 	}
+	stats := Run(adj, workers, nil, mk)
 	dig := make([]int64, n)
 	agg := make([]int64, n)
 	for u, p := range procs {
@@ -116,12 +113,13 @@ func TestPoolMatchesBlocking(t *testing.T) {
 }
 
 // TestPoolAdapterMatchesBlockingAPI pins the Proc abstraction against the
-// original blocking *API: the same protocol written both ways records
+// blocking API it is driven through on the reference engine: the same
+// protocol written both ways records
 // identical Stats.
 func TestPoolAdapterMatchesBlockingAPI(t *testing.T) {
 	const n, rounds, aggRounds = 9, 12, 4
 	adj := ring(n)
-	apiStats := Run(adj, func(api *API) {
+	apiStats := runBlocking(adj, nil, func(api *blockingAPI) {
 		id := api.ID()
 		for r := 0; r < rounds; r++ {
 			if (id+r)%3 == 0 {
@@ -188,13 +186,10 @@ func TestPoolDepartureSemantics(t *testing.T) {
 			procs[u] = &departProc{id: u, departAt: u + 1, aggRounds: agg}
 			return procs[u]
 		}
-		tr := NewLocalTransport(complete(n))
-		var stats Stats
 		if blocking {
-			stats = RunProcsBlocking(tr, mk)
-		} else {
-			stats = RunProcs(tr, workers, mk)
+			workers = -1
 		}
+		stats := Run(complete(n), workers, nil, mk)
 		heard := make([][]int, n)
 		aggs := make([][]bool, n)
 		for u, p := range procs {
@@ -251,7 +246,7 @@ func TestDepartureVoteRace(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		var departed atomic.Int32
 		results := make([]bool, 2)
-		stats := Run(complete(n), func(api *API) {
+		stats := runBlocking(complete(n), nil, func(api *blockingAPI) {
 			id := api.ID()
 			stagger(id, trial)
 			if id < 2 {
@@ -297,7 +292,7 @@ func TestDepartureVoteRace(t *testing.T) {
 		mk := func(u int) Proc {
 			return &voteThenDepartProc{id: u, votes: votes}
 		}
-		stats := RunProcs(NewLocalTransport(complete(n)), workers, mk)
+		stats := Run(complete(n), workers, nil, mk)
 		want := Stats{Aggregations: 2}
 		if stats != want {
 			t.Fatalf("pool workers=%d: stats = %+v, want %+v", workers, stats, want)
@@ -346,7 +341,7 @@ func TestPoolGoroutineBound(t *testing.T) {
 	mk := func(u int) Proc {
 		return &goroutineProbeProc{peak: &peak}
 	}
-	RunProcs(NewLocalTransport(ring(n)), workers, mk)
+	Run(ring(n), workers, nil, mk)
 	limit := int64(base + workers + 4)
 	if got := peak.Load(); got > limit {
 		t.Fatalf("peak goroutines during pooled run = %d, want ≤ %d (base %d + %d workers + O(1))",
@@ -380,12 +375,12 @@ func (p *goroutineProbeProc) Step(in In) Req {
 
 // TestDeliverShardMatchesDeliver: for random sender densities (forcing
 // both the push and the pull strategy) and any contiguous shard
-// partition, DeliverShard must reassemble exactly the inboxes Deliver
+// partition, deliverShard must reassemble exactly the inboxes deliver
 // builds.
 func TestDeliverShardMatchesDeliver(t *testing.T) {
 	adjs := map[string][][]int32{"ring": ring(17), "complete": complete(9)}
 	for name, adj := range adjs {
-		tr := NewLocalTransport(adj)
+		tr := newLocalTransport(adj)
 		n := len(adj)
 		payloads := make([]*idsPayload, n)
 		for u := range payloads {
@@ -403,18 +398,18 @@ func TestDeliverShardMatchesDeliver(t *testing.T) {
 				}
 			}
 			wantIn := make([][]Message, n)
-			wantMsgs, wantEntries := tr.Deliver(out, wantIn, live)
+			wantMsgs, wantEntries := tr.deliver(out, wantIn, live)
 
 			for _, shards := range [][]int{{n}, {1, n - 1}, {n / 2, n - n/2}, {3, 3, n - 6}} {
 				gotIn := make([][]Message, n)
-				var arena InboxArena
+				var arena inboxArena
 				var msgs, entries int64
 				lo := 0
 				for _, size := range shards {
-					m, e := tr.DeliverShard(out, senders, live, gotIn, &arena, lo, lo+size)
+					m, e := tr.deliverShard(out, senders, live, gotIn, &arena, lo, lo+size)
 					// A fresh arena per shard mimics per-worker arenas;
 					// reusing one across shards of a round would alias.
-					arena = InboxArena{}
+					arena = inboxArena{}
 					msgs, entries = msgs+m, entries+e
 					lo += size
 				}

@@ -6,21 +6,16 @@ import (
 	"treesched/internal/obs"
 )
 
-// runMirrorObserved is runMirror with a round log attached: same mirror
-// protocol, observed engine entry points.
+// runMirrorObserved is runMirror with a round log attached.
 func runMirrorObserved(adj [][]int32, rounds, aggRounds, workers int, blocking bool) (Stats, *obs.RoundLog) {
 	mk := func(u int) Proc {
 		return &mirrorProc{id: u, rounds: rounds, aggRounds: aggRounds}
 	}
-	tr := NewLocalTransport(adj)
-	rl := new(obs.RoundLog)
-	var stats Stats
 	if blocking {
-		stats = RunProcsBlockingObserved(tr, mk, rl)
-	} else {
-		stats = RunProcsObserved(tr, workers, mk, rl)
+		workers = -1
 	}
-	return stats, rl
+	rl := new(obs.RoundLog)
+	return Run(adj, workers, rl, mk), rl
 }
 
 // shape strips the wall-clock component of a round log, leaving the

@@ -2,59 +2,17 @@ package dist
 
 import "slices"
 
-// Transport routes one synchronous round of batched outboxes to inboxes.
-// Implementations must be deterministic: for a fixed topology and outbox
-// vector, every inbox must come out identical across calls — the runtime
-// relies on this for reproducible Stats and protocol executions.
-//
-// The in-process LocalTransport is the first implementation; the
-// interface is the seam for future ones (sharded in-process delivery,
-// socket-backed multi-machine execution) without touching the protocols.
-type Transport interface {
-	// NumNodes returns the number of processors.
-	NumNodes() int
-	// Deliver routes one round: out[v] is processor v's payload (nil =
-	// silent). For every live processor u it must rebuild in[u] — reusing
-	// the backing array via in[u][:0] — appending Message{From: v,
-	// Payload: out[v]} for each neighbor v with a non-nil payload, in
-	// ascending sender order. Departed processors (live[u] false) receive
-	// nothing and contribute nothing to the counts; their inboxes must be
-	// emptied so they stop retaining payloads. It returns the number of
-	// messages delivered and the total payload entries (per the Sizer
-	// protocol) across deliveries.
-	Deliver(out []any, in [][]Message, live []bool) (msgs, entries int64)
-}
-
-// ShardTransport is the optional Transport extension the worker-pool
-// engine (RunProcs) uses to run delivery shard-parallel: DeliverShard
-// rebuilds only the inboxes of receivers in [lo, hi), writing them into
-// the caller's arena, so W workers can route one round concurrently with
-// no shared mutable state. Implementations must produce exactly the
-// inboxes Deliver would (same messages, same ascending sender order) —
-// the engines' byte-identical-Stats equivalence rests on it.
-type ShardTransport interface {
-	Transport
-	// DeliverShard routes one round for receivers u in [lo, hi) only:
-	// in[u] is rebuilt inside arena for live receivers and nilled for
-	// departed ones; entries of in outside the range are untouched.
-	// senders lists the processors with non-nil outboxes in ascending id
-	// order (a routing hint — sparse rounds are delivered sender-side in
-	// O(Σ deg(senders)) instead of scanning the whole shard's adjacency).
-	// Returns the messages and payload entries delivered to the shard.
-	DeliverShard(out []any, senders []int32, live []bool, in [][]Message, arena *InboxArena, lo, hi int) (msgs, entries int64)
-}
-
-// InboxArena is one shard's reusable inbox storage: every inbox built by
-// a DeliverShard call is a window into buf, so a round allocates nothing
+// inboxArena is one shard's reusable inbox storage: every inbox built by
+// a deliverShard call is a window into buf, so a round allocates nothing
 // once the arena has grown to the shard's peak round size.
-type InboxArena struct {
+type inboxArena struct {
 	buf  []Message
 	ends []int32 // per-receiver end offsets (pull) / fill cursors (push)
 	cnt  []int32 // per-receiver message counts (push pass 1)
 }
 
 // grow readies the per-receiver scratch for a shard of the given size.
-func (a *InboxArena) grow(receivers int) {
+func (a *inboxArena) grow(receivers int) {
 	if cap(a.ends) < receivers {
 		a.ends = make([]int32, receivers)
 		a.cnt = make([]int32, receivers)
@@ -63,19 +21,21 @@ func (a *InboxArena) grow(receivers int) {
 	a.cnt = a.cnt[:receivers]
 }
 
-// LocalTransport delivers rounds in-process over a fixed undirected
+// localTransport delivers rounds in-process over a fixed undirected
 // communication graph: processor u receives from every neighbor in
-// adj[u]. Delivery is one pass over the adjacency lists per round —
-// batched, allocation-free after warm-up, no channels.
-type LocalTransport struct {
+// adj[u]. Delivery is batched and allocation-free after warm-up, with no
+// channels. Every inbox lists its messages in ascending sender order, so
+// the same topology and outboxes always yield the same inboxes — the
+// property reproducible Stats and protocol executions rest on.
+type localTransport struct {
 	adj [][]int32
 }
 
-// NewLocalTransport builds the in-process transport for a communication
-// graph given as adjacency lists over processor ids. The lists are copied
-// and sorted so delivery order (and thus the protocols' executions) is
-// independent of how the caller ordered neighbors.
-func NewLocalTransport(adj [][]int32) *LocalTransport {
+// newLocalTransport builds the transport for a communication graph given
+// as adjacency lists over processor ids. The lists are copied and sorted
+// so delivery order (and thus the protocols' executions) is independent
+// of how the caller ordered neighbors.
+func newLocalTransport(adj [][]int32) *localTransport {
 	sorted := make([][]int32, len(adj))
 	for u, nbrs := range adj {
 		s := make([]int32, len(nbrs))
@@ -83,15 +43,17 @@ func NewLocalTransport(adj [][]int32) *LocalTransport {
 		slices.Sort(s)
 		sorted[u] = s
 	}
-	return &LocalTransport{adj: sorted}
+	return &localTransport{adj: sorted}
 }
 
-// NumNodes returns the number of processors.
-func (t *LocalTransport) NumNodes() int { return len(t.adj) }
-
-// Deliver implements Transport.
-func (t *LocalTransport) Deliver(out []any, in [][]Message, live []bool) (int64, int64) {
-	var msgs, entries int64
+// deliver routes one whole round for the blocking coordinator: out[v] is
+// processor v's payload (nil = silent). Every live processor's inbox
+// in[u] is rebuilt, reusing its backing array, with one message per
+// speaking neighbor in ascending sender order. Departed processors
+// (live[u] false) receive nothing and count for nothing, and their
+// inboxes are emptied so they stop retaining payloads. It returns the
+// messages delivered and their total payload entries (per Sizer).
+func (t *localTransport) deliver(out []any, in [][]Message, live []bool) (msgs, entries int64) {
 	for u := range t.adj {
 		if !live[u] {
 			in[u] = nil
@@ -112,8 +74,15 @@ func (t *LocalTransport) Deliver(out []any, in [][]Message, live []bool) (int64,
 	return msgs, entries
 }
 
-// DeliverShard implements ShardTransport. It picks between two
-// strategies per call, both producing identical inboxes:
+// deliverShard is deliver restricted to the receivers u in [lo, hi), the
+// pool engine's shard-parallel delivery: in[u] is rebuilt inside the
+// shard's arena for live receivers and nilled for departed ones, and
+// entries of in outside the range are untouched, so W workers can route
+// one round concurrently with no shared mutable state. senders lists the
+// processors with non-nil outboxes in ascending id order. The inboxes
+// are exactly the ones deliver builds (TestDeliverShardMatchesDeliver),
+// which the engines' byte-identical Stats rest on. It picks between two
+// strategies per call:
 //
 //   - receiver-side ("pull"): scan every live shard receiver's adjacency
 //     list against the outbox vector — O(Σ deg(shard)), right for dense
@@ -125,7 +94,7 @@ func (t *LocalTransport) Deliver(out []any, in [][]Message, live []bool) (int64,
 // The strategy choice is shard-local and invisible in the output, so
 // different shards (or runs) choosing differently cannot perturb the
 // protocol execution.
-func (t *LocalTransport) DeliverShard(out []any, senders []int32, live []bool, in [][]Message, arena *InboxArena, lo, hi int) (msgs, entries int64) {
+func (t *localTransport) deliverShard(out []any, senders []int32, live []bool, in [][]Message, arena *inboxArena, lo, hi int) (msgs, entries int64) {
 	shardDeg := 0
 	for u := lo; u < hi; u++ {
 		if live[u] {
@@ -143,10 +112,10 @@ func (t *LocalTransport) DeliverShard(out []any, senders []int32, live []bool, i
 	return t.deliverPull(out, live, in, arena, lo, hi)
 }
 
-// deliverPull is the receiver-side strategy: the Deliver loop restricted
+// deliverPull is the receiver-side strategy: the deliver loop restricted
 // to [lo, hi), appending into the arena. Inbox views are attached after
 // the pass so buffer growth cannot invalidate them.
-func (t *LocalTransport) deliverPull(out []any, live []bool, in [][]Message, arena *InboxArena, lo, hi int) (msgs, entries int64) {
+func (t *localTransport) deliverPull(out []any, live []bool, in [][]Message, arena *inboxArena, lo, hi int) (msgs, entries int64) {
 	buf := arena.buf[:0]
 	for u := lo; u < hi; u++ {
 		if live[u] {
@@ -180,7 +149,7 @@ func (t *LocalTransport) deliverPull(out []any, live []bool, in [][]Message, are
 // receiver's messages, pass 2 places them at prefix-summed offsets.
 // Senders are walked in ascending id order both times, so every inbox
 // comes out in ascending sender order — the same order pull produces.
-func (t *LocalTransport) deliverPush(out []any, senders []int32, live []bool, in [][]Message, arena *InboxArena, lo, hi int) (msgs, entries int64) {
+func (t *localTransport) deliverPush(out []any, senders []int32, live []bool, in [][]Message, arena *inboxArena, lo, hi int) (msgs, entries int64) {
 	cnt := arena.cnt
 	for i := range cnt {
 		cnt[i] = 0

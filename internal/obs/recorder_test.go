@@ -18,7 +18,7 @@ func TestRecorderClassesAndBounds(t *testing.T) {
 		rq.Finish(int64(time.Millisecond), "")
 	}
 	slow := r.Begin("slow-1", "solve")
-	slow.Finish(int64(20 * time.Millisecond), "")
+	slow.Finish(int64(20*time.Millisecond), "")
 	bad := r.Begin("bad-1", "solve")
 	bad.Finish(int64(time.Millisecond), "boom")
 
@@ -189,13 +189,15 @@ func TestRecorderConcurrent(t *testing.T) {
 				rq := r.Begin(fmt.Sprintf("w%d-%d", w, i), "solve")
 				rq.SetPhase(PhaseSolve)
 				rq.SetAlgo("tree-unit")
+				// The event reads the handle, so it precedes Finish: a
+				// finished handle is recycled and may not be touched.
+				if i%5 == 0 {
+					r.Event("coalesce", rq.ID(), "leader=x")
+				}
 				if i%3 == 0 {
 					rq.Finish(2, "boom") // error class (and slow: durNs > 1)
 				} else {
 					rq.Finish(2, "")
-				}
-				if i%5 == 0 {
-					r.Event("coalesce", rq.ID(), "leader=x")
 				}
 				_ = r.Active()
 			}

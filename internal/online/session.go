@@ -18,7 +18,6 @@ package online
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"treesched/internal/core"
@@ -97,48 +96,16 @@ type Schedule struct {
 	Incremental bool
 }
 
-// solvers is the algorithm registry sessions dispatch on: every solver
-// with compiled-model form and no extra budget knob. The distributed
-// drivers run on delta-compiled models like any other.
-var solvers = map[string]func(*core.Compiled, core.Options) (*core.Result, error){
-	"tree-unit":  (*core.Compiled).TreeUnit,
-	"line-unit":  (*core.Compiled).LineUnit,
-	"narrow":     (*core.Compiled).NarrowOnly,
-	"arbitrary":  (*core.Compiled).Arbitrary,
-	"sequential": (*core.Compiled).Sequential,
-	"seq-line":   (*core.Compiled).SequentialLine,
-	"ps":         (*core.Compiled).PanconesiSozioUnit,
-	"greedy":     func(c *core.Compiled, _ core.Options) (*core.Result, error) { return c.Greedy() },
-	"dist-unit": func(c *core.Compiled, opts core.Options) (*core.Result, error) {
-		dr, err := c.DistributedUnit(opts)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Result, nil
-	},
-	"dist-narrow": func(c *core.Compiled, opts core.Options) (*core.Result, error) {
-		dr, err := c.DistributedNarrow(opts)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Result, nil
-	},
-	"dist-ps": func(c *core.Compiled, opts core.Options) (*core.Result, error) {
-		dr, err := c.DistributedPanconesiSozio(opts)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Result, nil
-	},
-}
-
-// Algorithms returns the session-dispatchable algorithm names, sorted.
+// Algorithms returns the session-dispatchable algorithm names, sorted:
+// the core.Algorithms entries marked Session. The distributed drivers
+// run on delta-compiled models like any other.
 func Algorithms() []string {
-	out := make([]string, 0, len(solvers))
-	for n := range solvers {
-		out = append(out, n)
+	var out []string
+	for _, a := range core.Algorithms() {
+		if a.Session {
+			out = append(out, a.Name)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -148,6 +115,7 @@ func Algorithms() []string {
 type Session struct {
 	mu      sync.Mutex
 	cfg     Config
+	algo    core.Algorithm    // the registry entry cfg.Algo names
 	network *instance.Problem // demand-less network template
 
 	jobs  map[int64]instance.Demand // live + pending-added payloads
@@ -167,7 +135,8 @@ type Session struct {
 // initial job set with ids 0..m-1; the usual pattern is an empty demand
 // list with every job arriving as an event.
 func NewSession(network *instance.Problem, cfg Config) (*Session, error) {
-	if _, ok := solvers[cfg.Algo]; !ok {
+	algo, ok := core.Lookup(cfg.Algo)
+	if !ok || !algo.Session {
 		return nil, fmt.Errorf("online: unknown algorithm %q (known: %v)", cfg.Algo, Algorithms())
 	}
 	if cfg.Epsilon < 0 || cfg.Epsilon >= 1 {
@@ -191,6 +160,7 @@ func NewSession(network *instance.Problem, cfg Config) (*Session, error) {
 	tmpl.Demands = nil
 	s := &Session{
 		cfg:           cfg,
+		algo:          algo,
 		network:       &tmpl,
 		jobs:          make(map[int64]instance.Demand),
 		pendingRemove: make(map[int64]bool),
@@ -342,8 +312,7 @@ func (s *Session) resolveLocked() (*Schedule, error) {
 		return nil, err
 	}
 
-	solve := solvers[s.cfg.Algo]
-	res, err := solve(compiled, core.Options{Epsilon: s.cfg.Epsilon, Seed: s.cfg.Seed})
+	res, _, err := s.algo.Run(compiled, core.Options{Epsilon: s.cfg.Epsilon, Seed: s.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

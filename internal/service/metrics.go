@@ -61,9 +61,9 @@ func newMetrics(algoNames []string) *metrics {
 		requests:       reg.Counter("sched_requests_total", "Solve requests received (including cache hits and errors)."),
 		errors:         reg.Counter("sched_errors_total", "Solve requests that returned an error."),
 		resultHits:     reg.Counter("sched_result_cache_hits_total", "Solve requests served from the memoized result cache."),
-		resultMisses:   reg.Counter("sched_result_cache_misses_total", "Solve requests that executed a solver."),
+		resultMisses:   reg.Counter("sched_result_cache_misses_total", "Solve requests that missed the memoized result cache (they then coalesce onto an in-flight solve or execute one)."),
 		compiledHits:   reg.Counter("sched_compiled_cache_hits_total", "Solves that reused a cached compiled model."),
-		compiledMisses: reg.Counter("sched_compiled_cache_misses_total", "Solves that compiled the problem model."),
+		compiledMisses: reg.Counter("sched_compiled_cache_misses_total", "Solves whose compiled-cache lookup missed, including coalesced followers and lost-race rechecks; sched_compiles_coalesced_total counts the waits."),
 		solveNanos:     reg.Counter("sched_solve_nanos_total", "Total wall nanoseconds spent executing solvers."),
 		inFlight:       reg.Gauge("sched_in_flight", "Solves currently holding a worker slot."),
 

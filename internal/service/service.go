@@ -21,12 +21,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"treesched/internal/core"
+	"treesched/internal/dist"
 	"treesched/internal/instance"
 	"treesched/internal/obs"
 	"treesched/internal/scenario"
@@ -201,56 +200,13 @@ type Response struct {
 	PayloadEntries int64 `json:"payload_entries,omitempty"`
 }
 
-// solveFunc adapts one algorithm entry point to the compiled-model form.
-type solveFunc func(c *core.Compiled, opts core.Options, maxNodes int64) (*core.Result, *core.DistributedResult, error)
-
-func central(f func(c *core.Compiled, opts core.Options) (*core.Result, error)) solveFunc {
-	return func(c *core.Compiled, opts core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := f(c, opts)
-		return r, nil, err
-	}
-}
-
-func distributed(f func(c *core.Compiled, opts core.Options) (*core.DistributedResult, error)) solveFunc {
-	return func(c *core.Compiled, opts core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		dr, err := f(c, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dr.Result, dr, nil
-	}
-}
-
-// algorithms is the dispatch registry: every Solve* entry point of the
-// public API by its schedtool/service name.
-var algorithms = map[string]solveFunc{
-	"tree-unit":  central((*core.Compiled).TreeUnit),
-	"line-unit":  central((*core.Compiled).LineUnit),
-	"narrow":     central((*core.Compiled).NarrowOnly),
-	"arbitrary":  central((*core.Compiled).Arbitrary),
-	"sequential": central((*core.Compiled).Sequential),
-	"seq-line":   central((*core.Compiled).SequentialLine),
-	"greedy": func(c *core.Compiled, _ core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := c.Greedy()
-		return r, nil, err
-	},
-	"exact": func(c *core.Compiled, _ core.Options, maxNodes int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := c.Exact(maxNodes)
-		return r, nil, err
-	},
-	"ps":          central((*core.Compiled).PanconesiSozioUnit),
-	"dist-unit":   distributed((*core.Compiled).DistributedUnit),
-	"dist-narrow": distributed((*core.Compiled).DistributedNarrow),
-	"dist-ps":     distributed((*core.Compiled).DistributedPanconesiSozio),
-}
-
-// Algorithms returns the registered algorithm names, sorted.
+// Algorithms returns the registered algorithm names, sorted (the
+// core.Algorithms registry).
 func Algorithms() []string {
-	out := make([]string, 0, len(algorithms))
-	for n := range algorithms {
-		out = append(out, n)
+	var out []string
+	for _, a := range core.Algorithms() {
+		out = append(out, a.Name)
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -473,39 +429,19 @@ func hashProblem(p *instance.Problem) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// keyOptions normalizes request options for the memoization key so
-// semantically identical requests share one cache entry: the epsilon
-// default is applied; epsilon/seed are dropped for the deterministic
-// single-pass algorithms that ignore them (greedy, exact, sequential,
-// seq-line — keep this list in sync with the registry above);
-// FixedRounds is dropped for centralized algorithms; and the node
-// budget only keys "exact".
-func keyOptions(algo string, opts core.Options, maxNodes int64) (core.Options, int64) {
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 0.25
-	}
-	switch algo {
-	case "greedy", "exact", "sequential", "seq-line":
-		opts = core.Options{}
-	}
-	if !strings.HasPrefix(algo, "dist-") {
-		opts.FixedRounds = false
-	}
-	if algo != "exact" {
-		maxNodes = 0
-	}
-	return opts, maxNodes
-}
-
 // resultKey keys the memoization cache on everything that can change a
-// response. The algorithm name is a load-bearing component, not an
-// option: keyOptions collapses the options of several algorithms to the
-// zero value (they ignore them), so without algo in the key, "greedy"
-// and "exact" on one problem would collide on identical option strings.
-// TestResultMemoKeyIncludesAlgorithm pins this.
-func resultKey(problemHash, algo string, opts core.Options, maxNodes int64) string {
+// response: the problem hash, the algorithm, and the options normalized
+// by the algorithm's core.Algorithm.KeyOptions, which applies the
+// defaults and zeroes every field the algorithm does not read — so
+// semantically identical requests share one entry. The algorithm name is
+// a load-bearing component, not an option: KeyOptions collapses the
+// options of several algorithms to the same normal form, so without algo
+// in the key, "greedy" and "sequential" on one problem would collide on
+// identical option strings. TestResultMemoKeyIncludesAlgorithm pins this.
+func resultKey(problemHash string, algo core.Algorithm, opts core.Options) string {
+	opts = algo.KeyOptions(opts)
 	return fmt.Sprintf("%s|algo=%s|eps=%g|seed=%d|fixed=%t|nodes=%d",
-		problemHash, algo, opts.Epsilon, opts.Seed, opts.FixedRounds, maxNodes)
+		problemHash, algo.Name, opts.Epsilon, opts.Seed, opts.FixedRounds, opts.MaxNodes)
 }
 
 // ctxKey keys the request-scoped values the HTTP layer deposits for
@@ -623,7 +559,8 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	}()
 
 	rq.SetPhase(obs.PhaseValidate)
-	if _, ok := algorithms[req.Algo]; !ok {
+	algo, ok := core.Lookup(req.Algo)
+	if !ok {
 		return nil, fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrBadRequest, req.Algo, Algorithms())
 	}
 	e.met.countAlgo(req.Algo)
@@ -636,15 +573,13 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds}
-	maxNodes := req.MaxNodes
-	if maxNodes <= 0 || maxNodes > e.cfg.MaxExactNodes {
-		maxNodes = e.cfg.MaxExactNodes
+	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds, MaxNodes: req.MaxNodes}
+	if opts.MaxNodes <= 0 || opts.MaxNodes > e.cfg.MaxExactNodes {
+		opts.MaxNodes = e.cfg.MaxExactNodes
 	}
 
 	rq.SetPhase(obs.PhaseCacheCheck)
-	kOpts, kNodes := keyOptions(req.Algo, opts, maxNodes)
-	key := resultKey(hash, req.Algo, kOpts, kNodes)
+	key := resultKey(hash, algo, opts)
 	if resp, ok := e.results.get(key); ok {
 		e.met.resultHits.Add(1)
 		rq.SetOutcome(outcomeResultHit)
@@ -662,7 +597,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	// the work.
 	rq.SetPhase(obs.PhaseFlightWait)
 	resp, coalesced, leader, err := e.solveFlight.do(ctx, key, rq.ID(), func() (*Response, error) {
-		return e.execute(ctx, rq, req, hash, key, materialize, opts, maxNodes)
+		return e.execute(ctx, rq, req, algo, hash, key, materialize, opts)
 	})
 	if coalesced {
 		e.met.solvesCoalesced.Add(1)
@@ -684,7 +619,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 // tree (when sampling is on) receives the queue/compile/solve/verify
 // timeline, with the solver's phase-level spans nested under "solve"
 // via core.Options.Telemetry.
-func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, key string, materialize func() (*instance.Problem, error), opts core.Options, maxNodes int64) (resp *Response, err error) {
+func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, algo core.Algorithm, hash, key string, materialize func() (*instance.Problem, error), opts core.Options) (resp *Response, err error) {
 	// The solve's panic guard must sit inside the flight: a panic that
 	// escaped fn would strand the flight's followers, and the leader's
 	// followers deserve the same converted error the leader returns.
@@ -728,11 +663,10 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, k
 	}
 
 	rq.SetPhase(obs.PhaseSolve)
-	run := algorithms[req.Algo] // validated by solve before the flight
-	opts.Telemetry = tel        // the solver's phase spans nest under this request's tree
+	opts.Telemetry = tel // the solver's phase spans nest under this request's tree
 	ss := tel.Begin("solve")
 	begin := time.Now()
-	res, dres, err := run(c, opts, maxNodes)
+	res, net, err := algo.Run(c, opts)
 	solveNs := time.Since(begin).Nanoseconds()
 	tel.End(ss)
 	e.met.solveNanos.Add(solveNs)
@@ -758,7 +692,7 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, k
 	}
 	rq.SetPhase(obs.PhaseRespond)
 
-	resp = buildResponse(req, c, res, dres)
+	resp = buildResponse(req, c, res, net)
 	e.results.add(key, resp)
 	return resp, nil
 }
@@ -768,7 +702,7 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, k
 // pointer it returns enters the memoization cache and is shared by every
 // future equal request, so no field may be written after it returns
 // (the respfreeze analyzer enforces this).
-func buildResponse(req *Request, c *core.Compiled, res *core.Result, dres *core.DistributedResult) *Response {
+func buildResponse(req *Request, c *core.Compiled, res *core.Result, net *dist.Stats) *Response {
 	resp := &Response{
 		Algorithm:      res.Name,
 		Scenario:       req.Scenario,
@@ -784,11 +718,11 @@ func buildResponse(req *Request, c *core.Compiled, res *core.Result, dres *core.
 	if resp.Selected == nil {
 		resp.Selected = []instance.Inst{}
 	}
-	if dres != nil {
-		resp.Rounds = dres.Net.Rounds
-		resp.Messages = dres.Net.Messages
-		resp.Aggregations = dres.Net.Aggregations
-		resp.PayloadEntries = dres.Net.Entries
+	if net != nil {
+		resp.Rounds = net.Rounds
+		resp.Messages = net.Messages
+		resp.Aggregations = net.Aggregations
+		resp.PayloadEntries = net.Entries
 	}
 	return resp
 }

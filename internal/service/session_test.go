@@ -320,7 +320,7 @@ func decodeBody(t *testing.T, resp *http.Response, wantStatus int, v any) {
 
 // TestResultMemoKeyIncludesAlgorithm is the memoization regression
 // guard: two algorithms on the identical problem must never share a
-// memo entry, even though keyOptions collapses their option sets.
+// memo entry, even though KeyOptions collapses their option sets.
 func TestResultMemoKeyIncludesAlgorithm(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
@@ -355,13 +355,32 @@ func TestResultMemoKeyIncludesAlgorithm(t *testing.T) {
 	if m := e.Metrics(); m.ResultHits != 1 {
 		t.Fatalf("expected 1 hit, got %d", m.ResultHits)
 	}
-	// The raw key strings must differ on algo alone: keyOptions collapses
+	// The raw key strings must differ on algo alone: KeyOptions collapses
 	// both algorithms' options to the same normal form.
-	oa, na := keyOptions("greedy", core.Options{Epsilon: 0.3, Seed: 7}, 5)
-	ob, nb := keyOptions("exact", core.Options{Epsilon: 0.3, Seed: 7}, 5)
-	ka := resultKey("h", "greedy", oa, na)
-	kb := resultKey("h", "exact", ob, nb)
+	greedy, _ := core.Lookup("greedy")
+	exact, _ := core.Lookup("exact")
+	opts := core.Options{Epsilon: 0.3, Seed: 7, MaxNodes: 5}
+	ka := resultKey("h", greedy, opts)
+	kb := resultKey("h", exact, opts)
 	if ka == kb {
 		t.Fatalf("resultKey collision: %q", ka)
+	}
+	// The key strings themselves are pinned: a changed format would
+	// orphan every entry of a warm cache.
+	opts.FixedRounds = true
+	for algo, want := range map[string]string{
+		"greedy":    "h|algo=greedy|eps=0|seed=0|fixed=false|nodes=0",
+		"exact":     "h|algo=exact|eps=0|seed=0|fixed=false|nodes=5",
+		"tree-unit": "h|algo=tree-unit|eps=0.3|seed=7|fixed=false|nodes=0",
+		"dist-unit": "h|algo=dist-unit|eps=0.3|seed=7|fixed=true|nodes=0",
+	} {
+		a, _ := core.Lookup(algo)
+		if got := resultKey("h", a, opts); got != want {
+			t.Errorf("resultKey(%s) = %q, want %q", algo, got, want)
+		}
+	}
+	a, _ := core.Lookup("line-unit")
+	if got, want := resultKey("h", a, core.Options{}), "h|algo=line-unit|eps=0.25|seed=0|fixed=false|nodes=0"; got != want {
+		t.Errorf("default epsilon: resultKey = %q, want %q", got, want)
 	}
 }

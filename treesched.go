@@ -129,48 +129,50 @@ type Options = core.Options
 
 // SolveTreeUnit runs the (7+ε)-approximation for unit-height demands on
 // tree networks (Theorem 5.3).
-func SolveTreeUnit(p *Problem, opts Options) (*Result, error) { return core.TreeUnit(p, opts) }
+func SolveTreeUnit(p *Problem, opts Options) (*Result, error) { return solve(p, "tree-unit", opts) }
 
 // SolveLineUnit runs the (4+ε)-approximation for unit-height demands on
 // line networks with windows (Theorem 7.1).
-func SolveLineUnit(p *Problem, opts Options) (*Result, error) { return core.LineUnit(p, opts) }
+func SolveLineUnit(p *Problem, opts Options) (*Result, error) { return solve(p, "line-unit", opts) }
 
 // SolveNarrow runs the narrow-instance algorithm (Lemma 6.2); every
 // demand's effective height must be ≤ 1/2.
-func SolveNarrow(p *Problem, opts Options) (*Result, error) { return core.NarrowOnly(p, opts) }
+func SolveNarrow(p *Problem, opts Options) (*Result, error) { return solve(p, "narrow", opts) }
 
 // SolveArbitrary runs the combined arbitrary-height algorithm
 // (Theorems 6.3 and 7.2), including non-uniform edge capacities.
-func SolveArbitrary(p *Problem, opts Options) (*Result, error) { return core.Arbitrary(p, opts) }
+func SolveArbitrary(p *Problem, opts Options) (*Result, error) { return solve(p, "arbitrary", opts) }
 
 // SolveSequential runs the Appendix-A sequential algorithm (unit heights,
 // tree networks): 3-approximation, 2 for a single tree.
-func SolveSequential(p *Problem, opts Options) (*Result, error) { return core.Sequential(p, opts) }
+func SolveSequential(p *Problem, opts Options) (*Result, error) { return solve(p, "sequential", opts) }
 
 // SolveExact computes the optimum by branch and bound (small instances
 // only; the problem is NP-hard). maxNodes caps the search; 0 = default.
-func SolveExact(p *Problem, maxNodes int64) (*Result, error) { return core.Exact(p, maxNodes) }
+func SolveExact(p *Problem, maxNodes int64) (*Result, error) {
+	return solve(p, "exact", Options{MaxNodes: maxNodes})
+}
 
 // SolveGreedy runs the profit-greedy baseline.
-func SolveGreedy(p *Problem) (*Result, error) { return core.Greedy(p) }
+func SolveGreedy(p *Problem) (*Result, error) { return solve(p, "greedy", Options{}) }
 
 // SolvePanconesiSozio runs the single-stage (20+ε) baseline of [15,16] on
 // unit-height line networks.
 func SolvePanconesiSozio(p *Problem, opts Options) (*Result, error) {
-	return core.PanconesiSozioUnit(p, opts)
+	return solve(p, "ps", opts)
 }
 
 // SolveSequentialLine runs the classical sequential 2-approximation for
 // unit-height line networks with windows (Bar-Noy et al. / Berman–Dasgupta
 // style, reformulated in the two-phase framework).
 func SolveSequentialLine(p *Problem, opts Options) (*Result, error) {
-	return core.SequentialLine(p, opts)
+	return solve(p, "seq-line", opts)
 }
 
 // SolveDistributedPanconesiSozio is the message-passing driver of the
 // Panconesi–Sozio baseline.
 func SolveDistributedPanconesiSozio(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedPanconesiSozio(p, opts)
+	return solveDistributed(p, "dist-ps", opts)
 }
 
 // SolveDistributedUnit runs the unit-height algorithm as a real
@@ -181,12 +183,28 @@ func SolveDistributedPanconesiSozio(p *Problem, opts Options) (*DistributedResul
 // seeds; with Options.FixedRounds it runs the paper's deterministic
 // schedule (zero aggregations).
 func SolveDistributedUnit(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedUnit(p, opts)
+	return solveDistributed(p, "dist-unit", opts)
 }
 
 // SolveDistributedNarrow is the message-passing driver of SolveNarrow.
 func SolveDistributedNarrow(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedNarrow(p, opts)
+	return solveDistributed(p, "dist-narrow", opts)
+}
+
+// solve runs a centralized registry algorithm once (core.Solve).
+func solve(p *Problem, name string, opts Options) (*Result, error) {
+	r, _, err := core.Solve(p, name, opts)
+	return r, err
+}
+
+// solveDistributed runs a message-passing registry algorithm once and
+// attaches its measured network cost.
+func solveDistributed(p *Problem, name string, opts Options) (*DistributedResult, error) {
+	r, net, err := core.Solve(p, name, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &DistributedResult{Result: r, Net: *net}, nil
 }
 
 // VerifySolution checks feasibility of a selection against the problem:
@@ -253,8 +271,8 @@ type BatchResult = service.BatchResult
 // NewEngine builds a scheduling service engine.
 func NewEngine(cfg EngineConfig) *Engine { return service.New(cfg) }
 
-// Algorithms lists the service's algorithm registry: every Solve* entry
-// point of this package by name.
+// Algorithms lists the algorithm registry by name: every Solve* entry
+// point of this package, as the service and schedtool accept them.
 func Algorithms() []string { return service.Algorithms() }
 
 // Session is a dynamic scheduling session (internal/online): open it
