@@ -2,7 +2,10 @@ package instance
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -171,5 +174,105 @@ func TestJSONRandomizedRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(p.Capacities, q.Capacities) || !reflect.DeepEqual(p.Demands, q.Demands) {
 			t.Fatalf("trial %d: round trip changed the problem", trial)
 		}
+	}
+}
+
+// TestCanonicalHashPinned pins the canonical hash: SHA-256 over the
+// wire form of two fixed problems, digests computed when encoding/json
+// still wrote that form. A changed digest would orphan every warm cache
+// entry keyed on it.
+func TestCanonicalHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    *Problem
+		want string
+	}{
+		{capTreeProblem(t), "f6757341d89b8af88e16fb14a191bc23bd2666ee895bb213659f09566c0ea9b9"},
+		{capLineProblem(), "632daff18892b5a397612cb2436efdad03a2b3e730db3d08ff028a531363dd32"},
+	} {
+		data, err := json.Marshal(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s problem hashes to %s, pinned %s:\n%s", c.p.Kind, got, c.want, data)
+		}
+	}
+}
+
+// TestEncoderCoversEveryWireField is the guard against a field that
+// the codec forgets: every exported field of the wire struct and of
+// Demand is set non-zero by reflection, and EncodeWire must still write
+// what json.Marshal writes for the wire struct. A field added to either
+// type without codec support fails here instead of silently dropping
+// out of the canonical hash, where two different problems would share
+// one memo entry.
+func TestEncoderCoversEveryWireField(t *testing.T) {
+	var w problemJSON
+	fillNonZero(t, reflect.ValueOf(&w).Elem(), "problemJSON")
+	// Fields whose values must also be structurally valid to build a
+	// Problem: a real kind and a canonical edge list (child, parent).
+	w.Kind = "tree"
+	w.NumVertices = 2
+	w.TreeEdges = [][][2]int{{{1, 0}}}
+	want, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Problem
+	if err := w.build(&p); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeWire misses a field:\n got  %s\n want %s", got, want)
+	}
+	// Problem's own field set is the wire struct's in other clothes; a
+	// new Problem field needs a wire member (and codec support) first.
+	var names []string
+	for i := 0; i < reflect.TypeOf(Problem{}).NumField(); i++ {
+		names = append(names, reflect.TypeOf(Problem{}).Field(i).Name)
+	}
+	if fmt.Sprint(names) != "[Kind Trees NumVertices NumSlots NumResources Demands Capacities]" {
+		t.Errorf("Problem fields %v changed: extend problemJSON, EncodeWire and DecodeWire first", names)
+	}
+}
+
+// fillNonZero sets every exported field reachable from v to a non-zero
+// value, failing on a kind it does not know how to fill.
+func fillNonZero(t *testing.T, v reflect.Value, path string) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				fillNonZero(t, v.Field(i), path+"."+f.Name)
+				if v.Field(i).IsZero() {
+					t.Fatalf("%s.%s left zero", path, f.Name)
+				}
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0), path+"[0]")
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i), path+"["+fmt.Sprint(i)+"]")
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(3 + len(path)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(3 + len(path)))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.5 + float64(len(path)))
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("%s: cannot fill a %s; teach fillNonZero and the codec", path, v.Kind())
 	}
 }

@@ -1,4 +1,11 @@
-package obs
+// Package expfmttest is a strict reader for the Prometheus text
+// exposition format (v0.0.4): the in-repo contract checker for
+// /metrics.prom, imported by tests only. It validates structure
+// (HELP/TYPE comment lines, metric and label name grammar, quote
+// escaping in label values, parseable sample values) and returns the
+// samples so tests can assert semantics (counter monotonicity across
+// scrapes, expected families present).
+package expfmttest
 
 import (
 	"bufio"
@@ -8,13 +15,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// This file is a strict reader for the Prometheus text exposition
-// format (v0.0.4) — the in-repo contract checker for /metrics.prom.
-// It validates structure (HELP/TYPE comment lines, metric and label
-// name grammar, quote escaping in label values, parseable sample
-// values) and returns the samples so tests can assert semantics
-// (counter monotonicity across scrapes, expected families present).
 
 // ExpoSample is one parsed sample line.
 type ExpoSample struct {
@@ -123,7 +123,7 @@ func parseComment(line string, families map[string]*ExpoFamily) error {
 	switch kw {
 	case "HELP":
 		name, help, _ := strings.Cut(rest, " ")
-		if !validMetricName(name) {
+		if !validName(name) {
 			return fmt.Errorf("HELP for invalid metric name %q", name)
 		}
 		f := families[name]
@@ -137,7 +137,7 @@ func parseComment(line string, families map[string]*ExpoFamily) error {
 		f.Help = help
 	case "TYPE":
 		name, typ, ok := strings.Cut(rest, " ")
-		if !ok || !validMetricName(name) {
+		if !ok || !validName(name) {
 			return fmt.Errorf("malformed TYPE line %q", line)
 		}
 		if !expoTypes[typ] {
@@ -168,7 +168,7 @@ func parseSample(line string) (ExpoSample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	}
 	s.Name = line[:i]
-	if !validMetricName(s.Name) {
+	if !validName(s.Name) {
 		return s, fmt.Errorf("invalid sample name %q", s.Name)
 	}
 	rest := line[i:]
@@ -213,7 +213,7 @@ func parseLabels(rest string) (map[string]string, string, error) {
 			return nil, "", fmt.Errorf("label without '=' in %q", rest)
 		}
 		name := strings.TrimSpace(rest[:eq])
-		if !validMetricName(name) || strings.Contains(name, ":") {
+		if !validName(name) || strings.Contains(name, ":") {
 			return nil, "", fmt.Errorf("invalid label name %q", name)
 		}
 		if _, dup := labels[name]; dup {
@@ -272,4 +272,17 @@ func parseQuoted(s string) (string, string, error) {
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted value")
+}
+
+// validName reports whether s matches the exposition grammar's metric
+// name, [a-zA-Z_:][a-zA-Z0-9_:]*. It is written out here rather than
+// shared with obs, so the checker cannot inherit a bug of the producer.
+func validName(s string) bool {
+	for i, r := range s {
+		alpha := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
+		if !alpha && (i == 0 || r < '0' || r > '9') {
+			return false
+		}
+	}
+	return s != ""
 }

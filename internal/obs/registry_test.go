@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"treesched/internal/obs/expfmttest"
 )
 
 func TestRegistryPrometheusRoundTrip(t *testing.T) {
@@ -30,11 +32,11 @@ func TestRegistryPrometheusRoundTrip(t *testing.T) {
 	}
 	text := b.String()
 
-	fams, err := ParseExposition(strings.NewReader(text))
+	fams, err := expfmttest.ParseExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, text)
 	}
-	get := func(name string) *ExpoFamily {
+	get := func(name string) *expfmttest.ExpoFamily {
 		f := fams[name]
 		if f == nil {
 			t.Fatalf("family %s missing:\n%s", name, text)
@@ -113,13 +115,13 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		"# TYPE x summary\nx{quantile=\"0.5\"} 1\nx_sum bad", // bad sum value
 	}
 	for _, text := range bad {
-		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
+		if _, err := expfmttest.ParseExposition(strings.NewReader(text)); err == nil {
 			t.Fatalf("accepted malformed exposition:\n%s", text)
 		}
 	}
 	// And a legal corner: bare comments, timestamps, empty label set text.
 	ok := "# scrape note\n# TYPE y gauge\ny{a=\"b\\\"c\"} 2.5 1700000000\n"
-	fams, err := ParseExposition(strings.NewReader(ok))
+	fams, err := expfmttest.ParseExposition(strings.NewReader(ok))
 	if err != nil {
 		t.Fatalf("rejected legal exposition: %v", err)
 	}
@@ -129,12 +131,12 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 }
 
 func TestExpoSampleKeyStable(t *testing.T) {
-	a := ExpoSample{Name: "m", Labels: map[string]string{"b": "2", "a": "1"}}
-	b := ExpoSample{Name: "m", Labels: map[string]string{"a": "1", "b": "2"}}
+	a := expfmttest.ExpoSample{Name: "m", Labels: map[string]string{"b": "2", "a": "1"}}
+	b := expfmttest.ExpoSample{Name: "m", Labels: map[string]string{"a": "1", "b": "2"}}
 	if a.Key() != b.Key() {
 		t.Fatalf("keys differ: %q vs %q", a.Key(), b.Key())
 	}
-	if c := (ExpoSample{Name: "m"}); c.Key() != "m" {
+	if c := (expfmttest.ExpoSample{Name: "m"}); c.Key() != "m" {
 		t.Fatalf("unlabeled key = %q", c.Key())
 	}
 }

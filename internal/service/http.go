@@ -98,10 +98,23 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// handleSolve reads the body once, into a pooled buffer, and decodes
+// it whole: bytes after the request object are an error, as they are
+// on a /batch line.
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
+	bp := bodyPool.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBody {
+			bodyPool.Put(bp)
+		}
+	}()
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, *bp)
+	*bp = body
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err == nil {
+		req, err = e.decode(body)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
 		return
 	}
@@ -149,8 +162,8 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 				idx := lineNo
 				lineNo++
 				return func() any {
-					var req Request
-					if err := json.Unmarshal(line, &req); err != nil {
+					req, err := e.decode(line)
+					if err != nil {
 						return encodeLine(errorBody{Error: fmt.Sprintf("decode request: %v", err)})
 					}
 					ctx := r.Context()

@@ -238,13 +238,16 @@ func TestBatchErrorPathsStayInBand(t *testing.T) {
 
 // TestSolveErrorSingleDocument: /solve error bodies are exactly one
 // JSON document (regression guard against an errorBody followed by a
-// second partial write).
+// second partial write). Bytes after the request object are an error,
+// as on a /batch line, not a request /solve half-reads.
 func TestSolveErrorSingleDocument(t *testing.T) {
 	srv := newStrictServer(t)
 	for _, body := range []string{
 		`{"algo":"quantum","scenario":"sensor-tree"}`,
 		`{`,
 		fmt.Sprintf(`{"algo":"tree-unit","scenario":"line-100k","scenario_params":{"demands":%d}}`, 2_000_000),
+		`{"algo":"greedy","scenario":"sensor-tree"} garbage`,
+		`{"algo":"greedy","scenario":"sensor-tree"}{"algo":"exact"}`,
 	} {
 		status, resp := postJSON(t, srv.URL+"/solve", body)
 		wantJSONError(t, body[:min(len(body), 40)], status, http.StatusBadRequest, resp)

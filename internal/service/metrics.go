@@ -32,6 +32,9 @@ type metrics struct {
 	// compilesCoalesced counts compilations avoided the same way.
 	solvesCoalesced   *obs.Counter
 	compilesCoalesced *obs.Counter
+	// decodeFallbacks counts request bodies the fast wire codec declined,
+	// which encoding/json then decoded (see decodeRequest).
+	decodeFallbacks *obs.Counter
 
 	sessionsOpened      *obs.Counter
 	sessionsClosed      *obs.Counter
@@ -69,6 +72,7 @@ func newMetrics(algoNames []string) *metrics {
 
 		solvesCoalesced:   reg.Counter("sched_solves_coalesced_total", "Requests served by waiting on another request's identical in-flight solve (singleflight followers)."),
 		compilesCoalesced: reg.Counter("sched_compiles_coalesced_total", "Compilations avoided by waiting on another request's in-flight compile of the same problem."),
+		decodeFallbacks:   reg.Counter("sched_request_decode_fallback_total", "Request bodies (/solve bodies and /batch lines) outside the fast wire codec's subset, decoded by the encoding/json fallback."),
 
 		sessionsOpened:      reg.Counter("sched_sessions_opened_total", "Dynamic sessions opened."),
 		sessionsClosed:      reg.Counter("sched_sessions_closed_total", "Dynamic sessions closed by clients."),
@@ -118,6 +122,11 @@ type MetricsSnapshot struct {
 	// one in-flight compile of their common problem).
 	SolvesCoalesced   int64 `json:"solves_coalesced"`
 	CompilesCoalesced int64 `json:"compiles_coalesced"`
+	// RequestDecodeFallbacks counts /solve bodies and /batch lines the
+	// fast wire codec declined and encoding/json decoded: scenario
+	// requests, and inline ones a client wrote outside the subset
+	// encoding/json itself emits.
+	RequestDecodeFallbacks int64 `json:"request_decode_fallbacks"`
 	// CacheShards is the effective lock-shard count of the compiled and
 	// result caches (Config.CacheShards after GOMAXPROCS derivation).
 	CacheShards int   `json:"cache_shards"`
@@ -204,20 +213,21 @@ func sloSnapshot(s *obs.SLO) SLOSnapshot {
 
 func (m *metrics) snapshot(compiledEntries, resultEntries, sessionsOpen int) MetricsSnapshot {
 	s := MetricsSnapshot{
-		Requests:          m.requests.Load(),
-		Errors:            m.errors.Load(),
-		ResultHits:        m.resultHits.Load(),
-		ResultMisses:      m.resultMisses.Load(),
-		CompiledHits:      m.compiledHits.Load(),
-		CompiledMisses:    m.compiledMisses.Load(),
-		SolvesCoalesced:   m.solvesCoalesced.Load(),
-		CompilesCoalesced: m.compilesCoalesced.Load(),
-		InFlight:          m.inFlight.Load(),
-		SolveNanos:        m.solveNanos.Load(),
-		SolveLatency:      m.solveLatency.Summarize(),
-		CompiledEntries:   compiledEntries,
-		ResultEntries:     resultEntries,
-		ByAlgo:            make(map[string]int64),
+		Requests:               m.requests.Load(),
+		Errors:                 m.errors.Load(),
+		ResultHits:             m.resultHits.Load(),
+		ResultMisses:           m.resultMisses.Load(),
+		CompiledHits:           m.compiledHits.Load(),
+		CompiledMisses:         m.compiledMisses.Load(),
+		SolvesCoalesced:        m.solvesCoalesced.Load(),
+		CompilesCoalesced:      m.compilesCoalesced.Load(),
+		RequestDecodeFallbacks: m.decodeFallbacks.Load(),
+		InFlight:               m.inFlight.Load(),
+		SolveNanos:             m.solveNanos.Load(),
+		SolveLatency:           m.solveLatency.Summarize(),
+		CompiledEntries:        compiledEntries,
+		ResultEntries:          resultEntries,
+		ByAlgo:                 make(map[string]int64),
 
 		SessionsOpen:               sessionsOpen,
 		SessionsOpened:             m.sessionsOpened.Load(),

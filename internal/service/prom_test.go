@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"treesched/internal/obs"
+	"treesched/internal/obs/expfmttest"
 	"treesched/internal/online"
 )
 
 // scrapeProm fetches /metrics.prom and runs it through the strict
 // in-repo exposition parser, so any grammar drift in WritePrometheus
 // fails here rather than in a real scraper.
-func scrapeProm(t *testing.T, url string) map[string]*obs.ExpoFamily {
+func scrapeProm(t *testing.T, url string) map[string]*expfmttest.ExpoFamily {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics.prom")
 	if err != nil {
@@ -26,7 +26,7 @@ func scrapeProm(t *testing.T, url string) map[string]*obs.ExpoFamily {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("content type %q lacks exposition version", ct)
 	}
-	fams, err := obs.ParseExposition(resp.Body)
+	fams, err := expfmttest.ParseExposition(resp.Body)
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
@@ -34,7 +34,7 @@ func scrapeProm(t *testing.T, url string) map[string]*obs.ExpoFamily {
 }
 
 // flatten indexes every sample of every family by its Key().
-func flatten(fams map[string]*obs.ExpoFamily) map[string]float64 {
+func flatten(fams map[string]*expfmttest.ExpoFamily) map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range fams {
 		for _, s := range f.Samples {
@@ -82,6 +82,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		{"sched_result_cache_entries", "gauge"},
 		{"sched_sessions_open", "gauge"},
 		{"sched_uptime_seconds", "gauge"},
+		{"sched_request_decode_fallback_total", "counter"},
 	} {
 		f := fams[want.family]
 		if f == nil {
@@ -121,6 +122,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		"sched_result_cache_misses_total":               snap.ResultMisses,
 		"sched_requests_by_algo_total{algo=\"greedy\"}": snap.ByAlgo["greedy"],
 		"sched_solve_latency_ns_count":                  snap.SolveLatency.Count,
+		"sched_request_decode_fallback_total":           snap.RequestDecodeFallbacks,
 	} {
 		if got := after[key]; got != float64(want) {
 			t.Errorf("%s = %g in exposition, %d in JSON snapshot", key, got, want)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"runtime"
 	"sync"
@@ -30,6 +31,7 @@ import (
 	"treesched/internal/obs"
 	"treesched/internal/scenario"
 	"treesched/internal/verify"
+	"treesched/internal/wire"
 )
 
 // ErrBadRequest tags request-side failures (unknown algorithm, invalid
@@ -419,15 +421,32 @@ func (e *Engine) problemSource(req *Request) (hash string, materialize func() (*
 }
 
 // hashProblem returns the canonical problem hash: SHA-256 over the
-// deterministic JSON wire form (trees as edge lists, demands in order).
+// deterministic JSON wire form (trees as edge lists, demands in order),
+// the bytes json.Marshal writes for the problem. EncodeWire streams them
+// into the hasher through a fixed pooled buffer, so hashing never holds
+// a copy of the wire form.
 func hashProblem(p *instance.Problem) (string, error) {
-	data, err := json.Marshal(p)
-	if err != nil {
+	s := hashPool.Get().(*hashScratch)
+	defer hashPool.Put(s)
+	s.h.Reset()
+	w := wire.NewWriter(s.buf[:], s.h)
+	if err := p.EncodeWire(w); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	if err := w.Flush(); err != nil {
+		return "", err
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(s.h.Sum(sum[:0])), nil
 }
+
+// hashScratch is one hash computation's state, recycled by hashPool.
+type hashScratch struct {
+	h   hash.Hash
+	buf [4096]byte
+}
+
+var hashPool = sync.Pool{New: func() any { return &hashScratch{h: sha256.New()} }}
 
 // resultKey keys the memoization cache on everything that can change a
 // response: the problem hash, the algorithm, and the options normalized
