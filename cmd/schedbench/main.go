@@ -17,28 +17,33 @@
 // scenario×algorithm, cold (fresh compile) and warm (compiled reuse) —
 // plus the parallel-compile scale tier: serial vs full-width model
 // builds with per-phase breakdowns (decomp/layer/path/index ns) on the
-// scale presets, and CompileBatch/SolveBatch vs the one-at-a-time loop.
-// With -check it fails on a >25% cold-path regression against the
-// checked-in baseline, and on ≥4-core runners additionally requires a
-// ≥2x parallel-compile speedup on at least one scale preset (and no
-// >25% speedup slide against a multicore baseline). The -online mode
-// benchmarks the dynamic-session
-// path: delta re-solve (core.Compiled.WithJobs) vs cold compile+solve
-// per scenario × churn rate, gating the speedups with -check. The -dist
-// mode benchmarks the BSP substrate: the sharded worker-pool engine vs
-// the goroutine-per-processor anchor, up to the 10^5-processor scale
-// presets, gating speedup and the workers+O(1) goroutine bound with
-// -check; -smoke runs one scale preset end to end on the pool engine.
-// The -load mode drives the serving layer with open-loop traffic —
-// Poisson and bursty arrivals over a Zipf-weighted scenario×algorithm
-// mix with a dynamic-session share — reporting saturation rps,
-// open-loop p50/p99 latency, singleflight coalescing and cache-hit
-// rates, and the sharded-vs-single-lock cache contention speedup;
-// -check gates report sanity and (GOMAXPROCS-matched) p99/saturation
-// regressions against the checked-in BENCH_load.json.
+// scale presets, CompileBatch/SolveBatch vs the one-at-a-time loop, and
+// the traced-vs-untraced telemetry overhead. The -online mode benchmarks
+// the dynamic-session path: delta re-solve (core.Compiled.WithJobs) vs
+// cold compile+solve per scenario × churn rate. The -dist mode
+// benchmarks the BSP substrate: the sharded worker-pool engine vs the
+// goroutine-per-processor anchor in alternating pairs, up to the
+// 10^5-processor scale presets; -smoke runs one scale preset end to end
+// on the pool engine. The -load mode drives the serving layer with
+// open-loop traffic — Poisson and bursty arrivals over a Zipf-weighted
+// scenario×algorithm mix with a dynamic-session share — reporting
+// saturation rps, open-loop p50/p99 latency, singleflight coalescing and
+// cache-hit rates, the sharded-vs-single-lock cache contention speedup
+// and the flight recorder's overhead.
+//
+// Each of the four modes writes its BENCH_*.json report, or with -check
+// gates a fresh measurement against the named baseline and prints one
+// line per gate — PASS, FAIL, or INERT with the reason the gate did not
+// engage on this run (another GOMAXPROCS than the baseline's, a quick
+// run against a full baseline, too few cores) — and exits 1 on any FAIL.
+// Allocation counts are gated per arm against the baseline (>25%
+// regression fails); wall clock only as within-run ratios (tracing and
+// recorder overhead, the pool-vs-blocking speedup) or as a ×4
+// catastrophe backstop.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -63,20 +68,25 @@ func main() {
 	)
 	flag.Parse()
 
-	if *coreRun {
-		runCoreBaseline(*out, *check, *quick)
+	switch {
+	case *coreRun:
+		runReport(bench.CoreBench, bench.CheckCore, *quick, *out, *check)
 		return
-	}
-	if *online {
-		runOnlineBaseline(*out, *check, *quick)
+	case *online:
+		runReport(bench.OnlineBench, bench.CheckOnline, *quick, *out, *check)
 		return
-	}
-	if *distRun {
-		runDistBaseline(*out, *check, *smoke, *quick)
+	case *distRun && *smoke != "":
+		line, err := bench.DistSmoke(*smoke)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println("schedbench:", line)
 		return
-	}
-	if *loadRun {
-		runLoadBaseline(*out, *check, *quick)
+	case *distRun:
+		runReport(bench.DistBench, bench.CheckDist, *quick, *out, *check)
+		return
+	case *loadRun:
+		runReport(bench.LoadBench, bench.CheckLoad, *quick, *out, *check)
 		return
 	}
 
@@ -137,4 +147,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// runReport is the -core/-online/-dist/-load mode: measure, then either
+// gate the report against the baseline file named by check — one line
+// per gate, exit status 1 on any FAIL — or write it as indented JSON to
+// out (stdout when out is empty).
+func runReport[R any](measure func(quick bool) (*R, error), gate func(current, baseline *R) []bench.Gate, quick bool, out, check string) {
+	report, err := measure(quick)
+	if err != nil {
+		fail(err)
+	}
+	if check != "" {
+		raw, err := os.ReadFile(check)
+		if err != nil {
+			fail(err)
+		}
+		var baseline R
+		if err := json.Unmarshal(raw, &baseline); err != nil {
+			fail(fmt.Errorf("parsing %s: %v", check, err))
+		}
+		var failed, inert int
+		gates := gate(report, &baseline)
+		for _, g := range gates {
+			fmt.Println(g)
+			switch {
+			case g.Inert != "":
+				inert++
+			case g.Failed:
+				failed++
+			}
+		}
+		if failed > 0 {
+			fail(fmt.Errorf("%d of %d gates failed against %s", failed, len(gates), check))
+		}
+		fmt.Printf("schedbench: %d gates passed, %d inert, against %s\n", len(gates)-inert, inert, check)
+		return
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	data = append(data, '\n')
+	if out == "" {
+		os.Stdout.Write(data)
+		return
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		fail(err)
+	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "schedbench:", err)
+	os.Exit(1)
 }

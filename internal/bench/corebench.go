@@ -10,10 +10,9 @@ package bench
 // guards it in CI.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	"treesched/internal/core"
@@ -219,54 +218,15 @@ type CoreObsEntry struct {
 
 // coreSolve dispatches one solve on a compiled problem through the core
 // registry; options are fixed so every measurement exercises the
-// identical deterministic run.
-func coreSolve(c *core.Compiled, algo string) error {
-	return coreSolveOpts(c, algo, core.Options{Seed: 1})
-}
-
-// coreSolveOpts is coreSolve with explicit options (the telemetry tier
-// attaches Options.Telemetry).
-func coreSolveOpts(c *core.Compiled, algo string, opts core.Options) error {
+// identical deterministic run. tel attaches a trace (the telemetry tier);
+// nil is the production default.
+func coreSolve(c *core.Compiled, algo string, tel *obs.Trace) error {
 	a, ok := core.Lookup(algo)
 	if !ok {
 		return fmt.Errorf("bench: unknown algorithm %q", algo)
 	}
-	_, _, err := a.Run(c, opts)
+	_, _, err := a.Run(c, core.Options{Seed: 1, Telemetry: tel})
 	return err
-}
-
-// measure runs fn repeatedly until targetDur of work is observed (after
-// one calibration call) and returns ns/iteration and allocs/iteration.
-func measure(targetDur time.Duration, fn func() error) (nsPerOp, allocsPerOp float64, err error) {
-	// Calibration pass — also warms lazily-built state out of warm
-	// measurements and pages code in for cold ones.
-	begin := time.Now()
-	if err := fn(); err != nil {
-		return 0, 0, err
-	}
-	once := time.Since(begin)
-	iters := 1
-	if once < targetDur {
-		iters = int(targetDur/once) + 1
-	}
-	if iters > 20000 {
-		iters = 20000
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	begin = time.Now()
-	for i := 0; i < iters; i++ {
-		if err := fn(); err != nil {
-			return 0, 0, err
-		}
-	}
-	elapsed := time.Since(begin)
-	runtime.ReadMemStats(&after)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(iters)
-	return nsPerOp, allocsPerOp, nil
 }
 
 // CoreBench measures every tracked pair and assembles the report. Quick
@@ -304,27 +264,31 @@ func CoreBench(quick bool) (*CoreReport, error) {
 		}
 		entry := CoreEntry{Scenario: pair.Scenario, Algo: pair.Algo}
 
-		entry.ColdNsPerSolve, entry.ColdAllocsPerSolve, err = measure(target, func() error {
+		// Cold and warm are measured one after the other, not as
+		// rotated arms: a cold round's garbage collections would empty the
+		// warm arm's pooled scratch after its calibration call.
+		cold, err := measureArms(plan{rounds: 1, target: target}, arm{"cold", func(int) error {
 			c, err := core.Compile(p, 0)
 			if err != nil {
 				return err
 			}
-			return coreSolve(c, pair.Algo)
-		})
+			return coreSolve(c, pair.Algo, nil)
+		}})
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s/%s cold: %v", pair.Scenario, pair.Algo, err)
+			return nil, fmt.Errorf("bench: %s: %v", entry.Key(), err)
 		}
-
 		warmC, err := core.Compile(p, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 		}
-		entry.WarmNsPerSolve, entry.WarmAllocsPerSolve, err = measure(target, func() error {
-			return coreSolve(warmC, pair.Algo)
-		})
+		warm, err := measureArms(plan{rounds: 1, target: target}, arm{"warm", func(int) error {
+			return coreSolve(warmC, pair.Algo, nil)
+		}})
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s/%s warm: %v", pair.Scenario, pair.Algo, err)
+			return nil, fmt.Errorf("bench: %s: %v", entry.Key(), err)
 		}
+		entry.ColdNsPerSolve, entry.ColdAllocsPerSolve = cold[0].nsPerCall(), cold[0].allocs
+		entry.WarmNsPerSolve, entry.WarmAllocsPerSolve = warm[0].nsPerCall(), warm[0].allocs
 
 		if anchor := preRefactorColdNs[entry.Key()]; anchor > 0 && entry.ColdNsPerSolve > 0 {
 			entry.SpeedupVsPreRefactor = anchor / entry.ColdNsPerSolve
@@ -386,7 +350,7 @@ func obsBench(pair CoreObsPair, quick bool) (*CoreObsEntry, error) {
 		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 	}
 	// Warm the lazy model and scratch pools out of the measurement.
-	if err := coreSolve(c, pair.Algo); err != nil {
+	if err := coreSolve(c, pair.Algo, nil); err != nil {
 		return nil, fmt.Errorf("bench: %s/%s warmup: %v", pair.Scenario, pair.Algo, err)
 	}
 
@@ -397,100 +361,49 @@ func obsBench(pair CoreObsPair, quick bool) (*CoreObsEntry, error) {
 		Runs:     runs,
 		Quick:    quick,
 	}
-	hist := new(obs.Histogram)
-	run := func(opts core.Options) (int64, *obs.Trace, error) {
-		begin := time.Now()
-		if err := coreSolveOpts(c, pair.Algo, opts); err != nil {
-			return 0, nil, err
-		}
-		ns := time.Since(begin).Nanoseconds()
-		hist.Observe(ns)
-		return ns, opts.Telemetry, nil
+	// Both modes are one arm each; the traced arm keeps every run's trace
+	// so the phase breakdown can come from its fastest round.
+	var traces []*obs.Trace
+	res, err := measureArms(plan{rounds: runs, calls: 1},
+		arm{"plain", func(int) error {
+			return coreSolve(c, pair.Algo, nil)
+		}},
+		arm{"traced", func(int) error {
+			tel := obs.NewTrace()
+			traces = append(traces, tel)
+			return coreSolve(c, pair.Algo, tel)
+		}})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s/%s: %v", pair.Scenario, pair.Algo, err)
 	}
-	var bestTrace *obs.Trace
-	ratios := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		var pns, tns int64
-		var tel *obs.Trace
-		// Alternate which mode runs first so time-correlated machine load
-		// (GC pacing, a neighbor's burst) cannot systematically land on
-		// one side of every pair.
-		measure := func() error {
-			var err error
-			if pns, _, err = run(core.Options{Seed: 1}); err != nil {
-				return fmt.Errorf("bench: %s/%s plain: %v", pair.Scenario, pair.Algo, err)
-			}
-			return nil
-		}
-		measureTraced := func() error {
-			var err error
-			if tns, tel, err = run(core.Options{Seed: 1, Telemetry: obs.NewTrace()}); err != nil {
-				return fmt.Errorf("bench: %s/%s traced: %v", pair.Scenario, pair.Algo, err)
-			}
-			return nil
-		}
-		first, second := measure, measureTraced
-		if r%2 == 1 {
-			first, second = measureTraced, measure
-		}
-		if err := first(); err != nil {
-			return nil, err
-		}
-		if err := second(); err != nil {
-			return nil, err
-		}
-		if entry.PlainNsPerSolve == 0 || pns < entry.PlainNsPerSolve {
-			entry.PlainNsPerSolve = pns
-		}
-		if entry.TracedNsPerSolve == 0 || tns < entry.TracedNsPerSolve {
-			entry.TracedNsPerSolve = tns
-			bestTrace = tel
-		}
-		if pns > 0 {
-			ratios = append(ratios, float64(tns)/float64(pns))
-		}
-	}
-	if len(ratios) > 0 && entry.PlainNsPerSolve > 0 {
-		sort.Float64s(ratios)
-		est := ratios[len(ratios)/2]
-		if best := float64(entry.TracedNsPerSolve) / float64(entry.PlainNsPerSolve); best < est {
-			est = best
-		}
+	plain, traced := &res[0], &res[1]
+	entry.PlainNsPerSolve, entry.TracedNsPerSolve = plain.bestNs(), traced.bestNs()
+	if entry.PlainNsPerSolve > 0 {
+		est := min(medianRatio(traced, plain), float64(entry.TracedNsPerSolve)/float64(entry.PlainNsPerSolve))
 		if est > 1 {
 			entry.OverheadPct = (est - 1) * 100
 		}
 	}
 	entry.PhaseNs = make(map[string]int64)
-	for _, sp := range bestTrace.Spans() {
+	for _, sp := range traces[traced.best].Spans() {
 		if sp.Parent == obs.NoSpan && sp.DurNs > 0 {
 			entry.PhaseNs[sp.Name] += sp.DurNs
 		}
+	}
+	hist := new(obs.Histogram)
+	for r := range plain.roundNs {
+		hist.Observe(plain.roundNs[r])
+		hist.Observe(traced.roundNs[r])
 	}
 	entry.SolveLatency = hist.Summarize()
 	return entry, nil
 }
 
-// buildRuns is the best-of count of the scale-tier builds: the presets
-// are big enough that a repetition loop like measure's would dominate
-// the harness, so each column takes the fastest of a few full builds.
+// buildRuns is the best-of count of the scale-tier builds and the batch
+// tier: the workloads are big enough that a calibrated repetition loop
+// would dominate the harness, so each arm takes the fastest of a few
+// rounds of one call.
 const buildRuns = 3
-
-// measureBuild cold-builds the model best-of-runs times at the given
-// fan-out and returns the fastest run's wall clock and phase breakdown.
-func measureBuild(p *instance.Problem, workers, runs int) (int64, model.BuildStats, error) {
-	best := int64(-1)
-	var bestStats model.BuildStats
-	for r := 0; r < runs; r++ {
-		var st model.BuildStats
-		if _, err := model.Build(p, model.Options{Workers: workers, Stats: &st}); err != nil {
-			return 0, model.BuildStats{}, err
-		}
-		if best < 0 || st.TotalNs < best {
-			best, bestStats = st.TotalNs, st
-		}
-	}
-	return best, bestStats, nil
-}
 
 // scaleBench measures one scale preset: serial-oracle build vs
 // full-width build, phase by phase.
@@ -512,16 +425,27 @@ func scaleBench(pair CoreScalePair, quick bool) (*CoreScaleEntry, error) {
 		Demands:  len(p.Demands),
 		Workers:  runtime.GOMAXPROCS(0),
 	}
-	var st model.BuildStats
-	if entry.SerialBuildNs, st, err = measureBuild(p, 1, buildRuns); err != nil {
-		return nil, fmt.Errorf("bench: %s serial build: %v", pair.Scenario, err)
+	// Each arm keeps every build's phase breakdown; the entry reports the
+	// fastest round's.
+	var stats [2][]model.BuildStats
+	build := func(k int, name string, workers int) arm {
+		return arm{name, func(int) error {
+			var st model.BuildStats
+			_, err := model.Build(p, model.Options{Workers: workers, Stats: &st})
+			stats[k] = append(stats[k], st)
+			return err
+		}}
 	}
+	res, err := measureArms(plan{rounds: buildRuns, calls: 1}, build(0, "serial build", 1), build(1, "parallel build", 0))
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
+	}
+	st := stats[0][res[0].best]
+	entry.SerialBuildNs = res[0].bestNs()
 	entry.SerialDecompNs, entry.SerialLayerNs = st.DecompNs, st.LayerNs
 	entry.SerialPathNs, entry.SerialIndexNs = st.PathNs, st.IndexNs
-
-	if entry.ParallelBuildNs, st, err = measureBuild(p, 0, buildRuns); err != nil {
-		return nil, fmt.Errorf("bench: %s parallel build: %v", pair.Scenario, err)
-	}
+	st = stats[1][res[1].best]
+	entry.ParallelBuildNs = res[1].bestNs()
 	entry.ParallelDecompNs, entry.ParallelLayerNs = st.DecompNs, st.LayerNs
 	entry.ParallelPathNs, entry.ParallelIndexNs = st.PathNs, st.IndexNs
 
@@ -557,104 +481,61 @@ func batchBench(quick bool) (*CoreBatchEntry, error) {
 		Problems: problems, Demands: params.Demands,
 	}
 
-	loop := func() (int64, error) {
-		begin := time.Now()
+	loop := arm{"loop", func(int) error {
 		for _, p := range ps {
 			c, err := core.Compile(p, 0)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			if err := coreSolve(c, algo); err != nil {
-				return 0, err
+			if err := coreSolve(c, algo, nil); err != nil {
+				return err
 			}
 		}
-		return time.Since(begin).Nanoseconds(), nil
-	}
-	batched := func() (int64, error) {
-		begin := time.Now()
+		return nil
+	}}
+	batched := arm{"batch", func(int) error {
 		cs, errs := core.CompileBatch(ps, 0, 0)
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
-		_, serrs := core.SolveBatch(cs, 0, func(_ int, c *core.Compiled) (*core.Result, error) {
-			return nil, coreSolve(c, algo)
+		_, errs = core.SolveBatch(cs, 0, func(_ int, c *core.Compiled) (*core.Result, error) {
+			return nil, coreSolve(c, algo, nil)
 		})
-		for _, err := range serrs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(begin).Nanoseconds(), nil
+		return errors.Join(errs...)
+	}}
+	res, err := measureArms(plan{rounds: buildRuns, calls: 1}, loop, batched)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s/%s batch: %v", name, algo, err)
 	}
-
-	for r := 0; r < buildRuns; r++ {
-		ns, err := loop()
-		if err != nil {
-			return nil, fmt.Errorf("bench: batch loop: %v", err)
-		}
-		if entry.LoopNs == 0 || ns < entry.LoopNs {
-			entry.LoopNs = ns
-		}
-		if ns, err = batched(); err != nil {
-			return nil, fmt.Errorf("bench: batch: %v", err)
-		}
-		if entry.BatchNs == 0 || ns < entry.BatchNs {
-			entry.BatchNs = ns
-		}
-	}
+	entry.LoopNs, entry.BatchNs = res[0].bestNs(), res[1].bestNs()
 	if entry.BatchNs > 0 {
 		entry.Speedup = float64(entry.LoopNs) / float64(entry.BatchNs)
 	}
 	return entry, nil
 }
 
-// nsCatastropheFactor is the wall-clock backstop multiplier of
-// CheckCore: ns/solve is only compared loosely because the baseline was
-// recorded on different hardware than the checker runs on (a CI runner
-// 30% slower than the baseline machine is not a code regression).
-// Allocation counts are hardware-independent, so they carry the strict
-// gate.
-const nsCatastropheFactor = 4.0
-
-// CheckCore compares a fresh measurement against the checked-in baseline
-// and errors when any pair's cold path regressed: allocs/solve above
-// (1+tolerance)× the recorded value (e.g. 0.25 = fail above 1.25×), or
-// ns/solve beyond the catastrophic nsCatastropheFactor backstop. Pairs
-// present in only one report are ignored so the tracked set can evolve.
-func CheckCore(current, baseline *CoreReport, tolerance float64) error {
-	base := make(map[string]*CoreEntry, len(baseline.Entries))
-	for i := range baseline.Entries {
-		base[baseline.Entries[i].Key()] = &baseline.Entries[i]
-	}
-	var failures []string
+// CheckCore gates a fresh measurement against the checked-in baseline:
+// per pair, cold allocs/solve against the baseline's (at most
+// 1+regressionTol times it) and cold ns/solve against the
+// nsCatastropheFactor backstop; the scale and batch tiers (checkScale);
+// and the telemetry overhead (checkObs). Pairs present only in the
+// baseline are ignored so the tracked set can evolve.
+func CheckCore(current, baseline *CoreReport) []Gate {
+	var gates gateList
+	base := index(baseline.Entries, (*CoreEntry).Key)
 	for i := range current.Entries {
 		e := &current.Entries[i]
 		want := base[e.Key()]
 		if want == nil {
+			gates.inert(e.Key(), "not in baseline")
 			continue
 		}
-		if want.ColdAllocsPerSolve > 0 && e.ColdAllocsPerSolve > want.ColdAllocsPerSolve*(1+tolerance) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: cold %.0f allocs/solve vs baseline %.0f (%.2fx > allowed %.2fx)",
-				e.Key(), e.ColdAllocsPerSolve, want.ColdAllocsPerSolve,
-				e.ColdAllocsPerSolve/want.ColdAllocsPerSolve, 1+tolerance))
-		}
-		if want.ColdNsPerSolve > 0 && e.ColdNsPerSolve > want.ColdNsPerSolve*nsCatastropheFactor {
-			failures = append(failures, fmt.Sprintf(
-				"%s: cold %.0f ns/solve vs baseline %.0f (%.2fx > catastrophic %gx backstop)",
-				e.Key(), e.ColdNsPerSolve, want.ColdNsPerSolve,
-				e.ColdNsPerSolve/want.ColdNsPerSolve, nsCatastropheFactor))
-		}
+		gates.atMost(e.Key()+" cold allocs/solve", e.ColdAllocsPerSolve, want.ColdAllocsPerSolve, 1+regressionTol, "allocs")
+		gates.atMost(e.Key()+" cold ns/solve backstop", e.ColdNsPerSolve, want.ColdNsPerSolve, nsCatastropheFactor, "ns")
 	}
-	failures = append(failures, checkScale(current, baseline)...)
-	failures = append(failures, checkObs(current)...)
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: cold-path regression against BENCH_core.json:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return nil
+	checkScale(&gates, current, baseline)
+	checkObs(&gates, current)
+	return gates
 }
 
 // maxObsOverheadPct is the enabled-tracing overhead ceiling at the full
@@ -678,34 +559,24 @@ const quickObsOverheadPct = 25.0
 const minObsGateNs = int64(time.Millisecond)
 
 // checkObs gates the telemetry tier on the current report alone — the
-// overhead bound is absolute, not relative to a baseline.
-func checkObs(current *CoreReport) []string {
-	var failures []string
+// overhead is a within-run ratio with an absolute bound, not relative to
+// a baseline.
+func checkObs(gates *gateList, current *CoreReport) {
 	for i := range current.ObsEntries {
 		e := &current.ObsEntries[i]
+		name := fmt.Sprintf("obs %s/%s tracing overhead", e.Scenario, e.Algo)
 		if e.PlainNsPerSolve < minObsGateNs {
+			gates.inert(name, "plain solve under 1 ms")
 			continue
 		}
 		limit := maxObsOverheadPct
 		if e.Quick {
 			limit = quickObsOverheadPct
 		}
-		if e.OverheadPct > limit {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: enabled-tracing overhead %.2f%% (plain %d ns, traced %d ns; > allowed %.1f%%)",
-				e.Scenario, e.Algo, e.OverheadPct, e.PlainNsPerSolve, e.TracedNsPerSolve, limit))
-		}
+		gates.check(name, e.OverheadPct <= limit, "%.2f%% (plain %d ns, traced %d ns), allowed ≤ %.1f%%",
+			e.OverheadPct, e.PlainNsPerSolve, e.TracedNsPerSolve, limit)
 	}
-	return failures
 }
-
-// scaleGateProcs is the smallest GOMAXPROCS at which the parallel-compile
-// speedup gates apply. Below it (laptops pinned to a core, 1–2 vCPU
-// containers) parallel and serial resolve to nearly the same execution
-// and the speedup carries no signal, so only the wall-clock catastrophe
-// backstop runs; the baseline itself may legitimately be recorded on a
-// single-core machine.
-const scaleGateProcs = 4
 
 // minScaleSpeedup is the parallel-compile floor on ≥scaleGateProcs-core
 // runners: at least one scale preset must cold-compile ≥2× faster at full
@@ -717,67 +588,59 @@ const minScaleSpeedup = 2.0
 // speedup gates additionally require a multicore runner (see
 // scaleGateProcs) — and compare against the baseline's speedups only when
 // the baseline was multicore too.
-func checkScale(current, baseline *CoreReport) []string {
-	var failures []string
-	multicore := current.GOMAXPROCS >= scaleGateProcs
-
-	base := make(map[string]*CoreScaleEntry, len(baseline.ScaleEntries))
-	for i := range baseline.ScaleEntries {
-		base[baseline.ScaleEntries[i].Scenario] = &baseline.ScaleEntries[i]
-	}
+func checkScale(gates *gateList, current, baseline *CoreReport) {
 	maxSpeedup := 0.0
+	base := index(baseline.ScaleEntries, func(e *CoreScaleEntry) string { return e.Scenario })
 	for i := range current.ScaleEntries {
 		e := &current.ScaleEntries[i]
-		if e.Speedup > maxSpeedup {
-			maxSpeedup = e.Speedup
-		}
+		maxSpeedup = max(maxSpeedup, e.Speedup)
 		want := base[e.Scenario]
 		if want == nil {
+			gates.inert(e.Scenario, "not in baseline")
 			continue
 		}
-		if want.Demands == e.Demands && want.SerialBuildNs > 0 &&
-			e.SerialBuildNs > want.SerialBuildNs*nsCatastropheFactor {
-			failures = append(failures, fmt.Sprintf(
-				"%s: serial build %d ns vs baseline %d (%.2fx > catastrophic %gx backstop)",
-				e.Scenario, e.SerialBuildNs, want.SerialBuildNs,
-				float64(e.SerialBuildNs)/float64(want.SerialBuildNs), nsCatastropheFactor))
+		name := e.Scenario + " serial build backstop"
+		if why := sameSize(e.Demands < want.Demands, want.Demands < e.Demands); why != "" {
+			gates.inert(name, why)
+		} else {
+			gates.atMost(name, float64(e.SerialBuildNs), float64(want.SerialBuildNs), nsCatastropheFactor, "ns")
 		}
-		if multicore && baseline.GOMAXPROCS >= scaleGateProcs && want.Speedup > 0 &&
-			e.Speedup < want.Speedup*0.75 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: parallel compile speedup %.2fx vs baseline %.2fx (< 0.75x of baseline)",
-				e.Scenario, e.Speedup, want.Speedup))
+		name = e.Scenario + " parallel compile speedup"
+		if why := multicore(current.GOMAXPROCS, baseline.GOMAXPROCS); why != "" {
+			gates.inert(name, why)
+		} else {
+			gates.atLeast(name, e.Speedup, want.Speedup, 0.75, "x")
 		}
 	}
-	if multicore && len(current.ScaleEntries) > 0 && maxSpeedup < minScaleSpeedup {
-		failures = append(failures, fmt.Sprintf(
-			"parallel compile: best scale-preset speedup %.2fx on %d cores (< required %.1fx)",
-			maxSpeedup, current.GOMAXPROCS, minScaleSpeedup))
+	if len(current.ScaleEntries) > 0 {
+		name := "parallel compile best scale-preset speedup"
+		if current.GOMAXPROCS < scaleGateProcs {
+			gates.inert(name, multicore(current.GOMAXPROCS, scaleGateProcs))
+		} else {
+			gates.check(name, maxSpeedup >= minScaleSpeedup, "%.2fx on %d cores, required ≥ %.1fx",
+				maxSpeedup, current.GOMAXPROCS, minScaleSpeedup)
+		}
 	}
 
-	bbase := make(map[string]*CoreBatchEntry, len(baseline.BatchEntries))
-	for i := range baseline.BatchEntries {
-		b := &baseline.BatchEntries[i]
-		bbase[b.Scenario+"/"+b.Algo] = b
-	}
+	bbase := index(baseline.BatchEntries, func(e *CoreBatchEntry) string { return e.Scenario + "/" + e.Algo })
 	for i := range current.BatchEntries {
 		e := &current.BatchEntries[i]
+		key := "batch " + e.Scenario + "/" + e.Algo
 		want := bbase[e.Scenario+"/"+e.Algo]
 		if want == nil {
+			gates.inert(key, "not in baseline")
 			continue
 		}
-		if want.Problems == e.Problems && want.Demands == e.Demands && want.LoopNs > 0 &&
-			e.LoopNs > want.LoopNs*int64(nsCatastropheFactor) {
-			failures = append(failures, fmt.Sprintf(
-				"batch %s/%s: loop %d ns vs baseline %d (> catastrophic %gx backstop)",
-				e.Scenario, e.Algo, e.LoopNs, want.LoopNs, nsCatastropheFactor))
+		size, wantSize := e.Problems*e.Demands, want.Problems*want.Demands
+		if why := sameSize(size < wantSize, wantSize < size); why != "" {
+			gates.inert(key+" loop backstop", why)
+		} else {
+			gates.atMost(key+" loop backstop", float64(e.LoopNs), float64(want.LoopNs), nsCatastropheFactor, "ns")
 		}
-		if multicore && baseline.GOMAXPROCS >= scaleGateProcs && want.Speedup > 0 &&
-			e.Speedup < want.Speedup*0.75 {
-			failures = append(failures, fmt.Sprintf(
-				"batch %s/%s: speedup %.2fx vs baseline %.2fx (< 0.75x of baseline)",
-				e.Scenario, e.Algo, e.Speedup, want.Speedup))
+		if why := multicore(current.GOMAXPROCS, baseline.GOMAXPROCS); why != "" {
+			gates.inert(key+" speedup", why)
+		} else {
+			gates.atLeast(key+" speedup", e.Speedup, want.Speedup, 0.75, "x")
 		}
 	}
-	return failures
 }

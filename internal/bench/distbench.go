@@ -22,10 +22,11 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"strings"
+	"slices"
 	"time"
 
 	"treesched/internal/core"
+	"treesched/internal/dist"
 	"treesched/internal/scenario"
 )
 
@@ -74,8 +75,9 @@ type DistEntry struct {
 	Messages     int64 `json:"messages"`
 	Entries      int64 `json:"entries"`
 
-	// Pool engine (DistWorkers = 0). RoundsPerSec counts all collectives
-	// (exchange rounds + aggregations) per second of solve wall time.
+	// Pool engine (DistWorkers = 0), best of the entry's runs.
+	// RoundsPerSec counts all collectives (exchange rounds +
+	// aggregations) per second of solve wall time.
 	PoolNs             float64 `json:"pool_ns"`
 	PoolRoundsPerSec   float64 `json:"pool_rounds_per_sec"`
 	PoolMsgsPerSec     float64 `json:"pool_msgs_per_sec"`
@@ -87,8 +89,9 @@ type DistEntry struct {
 	BlockingRoundsPerSec   float64 `json:"blocking_rounds_per_sec"`
 	BlockingPeakGoroutines int     `json:"blocking_peak_goroutines"`
 
-	// SpeedupVsBlocking = BlockingNs / PoolNs — the hardware-normalized
-	// rounds/sec ratio the CI gate tracks.
+	// SpeedupVsBlocking is the median over alternating pool/blocking
+	// pairs of blocking wall / pool wall — the within-run ratio the CI
+	// gate tracks at the baseline's GOMAXPROCS.
 	SpeedupVsBlocking float64 `json:"speedup_vs_blocking"`
 }
 
@@ -106,99 +109,66 @@ type DistReport struct {
 	Entries    []DistEntry `json:"entries"`
 }
 
-// goroutineSampler polls runtime.NumGoroutine in the background and
-// reports the peak when stopped. The blocking engine's peak is ~n (one
-// goroutine per processor); the pool engine's must stay near the worker
-// count — that bound is part of the CheckDist gate.
-type goroutineSampler struct {
-	stop chan struct{}
-	peak chan int
-}
-
-func startGoroutineSampler() *goroutineSampler {
-	s := &goroutineSampler{stop: make(chan struct{}), peak: make(chan int, 1)}
+// sampleGoroutines polls runtime.NumGoroutine in the background until
+// the returned function is called, which stops the poller and returns
+// the peak. The blocking engine's peak is ~n (one goroutine per
+// processor); the pool engine's must stay near the worker count — that
+// bound is part of the CheckDist gate.
+func sampleGoroutines() (stop func() int) {
+	done, peak := make(chan struct{}), make(chan int, 1)
 	go func() {
-		max := runtime.NumGoroutine()
+		most := runtime.NumGoroutine()
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
-			case <-s.stop:
-				if g := runtime.NumGoroutine(); g > max {
-					max = g
-				}
-				s.peak <- max
+			case <-done:
+				peak <- max(most, runtime.NumGoroutine())
 				return
 			case <-tick.C:
-				if g := runtime.NumGoroutine(); g > max {
-					max = g
-				}
+				most = max(most, runtime.NumGoroutine())
 			}
 		}
 	}()
-	return s
+	return func() int {
+		close(done)
+		return <-peak
+	}
 }
 
-func (s *goroutineSampler) stopAndPeak() int {
-	close(s.stop)
-	return <-s.peak
-}
-
-// distSolve runs the pair's protocol once on the chosen engine,
-// measuring wall time and peak goroutines. The sampler itself and the
-// test harness contribute a few goroutines — the gate allows for them.
-func distSolve(c *core.Compiled, algo string, distWorkers int) (*core.DistributedResult, time.Duration, int, error) {
-	a, ok := core.Lookup(algo)
+// distAlgo looks up a distributed algorithm of the registry.
+func distAlgo(name string) (core.Algorithm, error) {
+	a, ok := core.Lookup(name)
 	if !ok || !a.ReadsFixedRounds {
-		return nil, 0, 0, fmt.Errorf("bench: %q is not a distributed algorithm", algo)
+		return core.Algorithm{}, fmt.Errorf("bench: %q is not a distributed algorithm", name)
 	}
-	sampler := startGoroutineSampler()
-	begin := time.Now()
-	res, net, err := a.Run(c, core.Options{Seed: 1, DistWorkers: distWorkers})
-	elapsed := time.Since(begin)
-	peak := sampler.stopAndPeak()
-	if err != nil {
-		return nil, elapsed, peak, err
-	}
-	return &core.DistributedResult{Result: res, Net: *net}, elapsed, peak, nil
+	return a, nil
 }
 
-// distMeasure times one engine, repeating until targetDur of wall time
-// is observed (runs are deterministic, so repetition only sheds
-// scheduler noise; millisecond-scale workloads would otherwise gate on
-// jitter) and reporting the best run. A first run always happens;
-// targetDur 0 means exactly one.
-func distMeasure(c *core.Compiled, algo string, distWorkers int, targetDur time.Duration) (*core.DistributedResult, time.Duration, int, error) {
-	const maxRuns = 200
-	var best, total time.Duration
-	var bestR *core.DistributedResult
-	peakMax := 0
-	for i := 0; i < maxRuns; i++ {
-		r, el, peak, err := distSolve(c, algo, distWorkers)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if bestR == nil || el < best {
-			best, bestR = el, r
-		}
-		if peak > peakMax {
-			peakMax = peak
-		}
-		total += el
-		if total >= targetDur {
-			break
-		}
-	}
-	return bestR, best, peakMax, nil
+// runSampled runs a's protocol once on the chosen engine and returns the
+// peak goroutine count sampled while it ran. The sampler itself and the
+// test harness contribute a few goroutines — the gate allows for them.
+func runSampled(a core.Algorithm, c *core.Compiled, distWorkers int) (*core.Result, *dist.Stats, int, error) {
+	stop := sampleGoroutines()
+	res, net, err := a.Run(c, core.Options{Seed: 1, DistWorkers: distWorkers})
+	return res, net, stop(), err
 }
 
 func (p DistPair) params() scenario.Params {
 	return scenario.Params{Demands: p.Demands, Size: p.Size, Networks: p.Networks}
 }
 
-// distEntry measures one pair on both engines and cross-checks their
-// Stats. targetDur is the per-engine repetition budget (0 = one run).
-func distEntry(pair DistPair, targetDur time.Duration) (*DistEntry, error) {
+// distGateRounds is the fewest engine pairs a gate-tier entry runs.
+const distGateRounds = 5
+
+// distEntry measures one pair on both engines, alternating them in
+// pairs, and cross-checks that every run produced the warm-up run's
+// Stats. A
+// gate-tier entry runs at least distGateRounds pairs and keeps adding
+// pairs until budget of wall time is spent; a scale-tier entry runs one
+// pair whatever the budget — its blocking run is a deliberate
+// multi-minute measurement.
+func distEntry(pair DistPair, budget time.Duration) (*DistEntry, error) {
 	s, ok := scenario.Get(pair.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown scenario %q", pair.Scenario)
@@ -211,6 +181,10 @@ func distEntry(pair DistPair, targetDur time.Duration) (*DistEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 	}
+	a, err := distAlgo(s.DefaultAlgo)
+	if err != nil {
+		return nil, err
+	}
 	eff := s.Effective(pair.params())
 	e := &DistEntry{
 		Scenario: pair.Scenario,
@@ -221,71 +195,81 @@ func distEntry(pair DistPair, targetDur time.Duration) (*DistEntry, error) {
 		Workers:  runtime.GOMAXPROCS(0),
 	}
 
-	pool, poolNs, poolPeak, err := distMeasure(c, e.Algo, 0, targetDur)
+	// One untimed pool run builds the compiled problem's lazy model, which
+	// would otherwise land on the first pair's pool run, and gives the
+	// Stats every timed run must reproduce. Its goroutine peak counts.
+	_, ref, warmPeak, err := runSampled(a, c, 0)
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s pool: %v", pair.Scenario, err)
+		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 	}
-	// The blocking anchor gets the same repetition budget; at gate sizes
-	// one run is near a second so it rarely repeats, at scale (budget 0)
-	// it runs exactly once — a deliberate multi-minute measurement.
-	block, blockNs, blockPeak, err := distMeasure(c, e.Algo, -1, targetDur)
+	peaks := [2]int{warmPeak, 0}
+	engine := func(k int, name string, distWorkers int) arm {
+		return arm{name, func(int) error {
+			_, net, peak, err := runSampled(a, c, distWorkers)
+			peaks[k] = max(peaks[k], peak)
+			if err != nil {
+				return err
+			}
+			if *net != *ref {
+				return fmt.Errorf("engines diverged: %+v vs %+v — determinism bug", *net, *ref)
+			}
+			return nil
+		}}
+	}
+	p := plan{rounds: distGateRounds, budget: budget, calls: 1}
+	if pair.Scale {
+		p = plan{rounds: 1, calls: 1}
+	}
+	res, err := measureArms(p, engine(0, "pool", 0), engine(1, "blocking", -1))
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s blocking: %v", pair.Scenario, err)
+		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 	}
-	if pool.Net != block.Net {
-		return nil, fmt.Errorf("bench: %s: engines diverged: pool %+v vs blocking %+v — determinism bug",
-			pair.Scenario, pool.Net, block.Net)
-	}
+	pool, block := &res[0], &res[1]
 
-	e.Rounds = pool.Net.Rounds
-	e.Aggregations = pool.Net.Aggregations
-	e.Messages = pool.Net.Messages
-	e.Entries = pool.Net.Entries
+	e.Rounds = ref.Rounds
+	e.Aggregations = ref.Aggregations
+	e.Messages = ref.Messages
+	e.Entries = ref.Entries
 	collectives := float64(e.Rounds + e.Aggregations)
-	e.PoolNs = float64(poolNs.Nanoseconds())
-	e.PoolRoundsPerSec = collectives / poolNs.Seconds()
-	e.PoolMsgsPerSec = float64(e.Messages) / poolNs.Seconds()
-	e.PoolPeakGoroutines = poolPeak
-	e.BlockingNs = float64(blockNs.Nanoseconds())
-	e.BlockingRoundsPerSec = collectives / blockNs.Seconds()
-	e.BlockingPeakGoroutines = blockPeak
-	e.SpeedupVsBlocking = e.BlockingNs / e.PoolNs
+	poolSec, blockSec := time.Duration(pool.bestNs()).Seconds(), time.Duration(block.bestNs()).Seconds()
+	e.PoolNs = float64(pool.bestNs())
+	e.PoolRoundsPerSec = collectives / poolSec
+	e.PoolMsgsPerSec = float64(e.Messages) / poolSec
+	e.PoolPeakGoroutines = peaks[0]
+	e.BlockingNs = float64(block.bestNs())
+	e.BlockingRoundsPerSec = collectives / blockSec
+	e.BlockingPeakGoroutines = peaks[1]
+	e.SpeedupVsBlocking = medianRatio(block, pool)
 	return e, nil
 }
 
 // DistBench measures the tracked workloads and assembles the report.
-// Quick measures only the gate tier, once per engine (the CI smoke);
-// the checked-in baseline should be regenerated without it — which runs
-// the scale tier too, including its multi-minute blocking anchors.
+// Quick measures only the gate tier (the CI smoke); the checked-in
+// baseline should be regenerated without it — which runs the scale tier
+// too, including its multi-minute blocking anchors.
 func DistBench(quick bool) (*DistReport, error) {
 	report := &DistReport{
 		Note: "BSP substrate: worker-pool engine (DistWorkers=0) vs goroutine-per-processor " +
-			"anchor (DistWorkers=-1), same protocol/network/seed, byte-identical Stats " +
-			"cross-checked per run; rounds/sec counts all collectives; scale entries are " +
-			"the 10^4-10^5-processor presets and are exempt from the CI gate",
+			"anchor (DistWorkers=-1), same protocol/network/seed, run in alternating pairs " +
+			"(gate tier: >=5 pairs, until the budget is spent; scale tier: one pair), " +
+			"byte-identical Stats cross-checked per run; ns columns are best-of, " +
+			"speedup_vs_blocking is the median per-pair ratio; rounds/sec counts all " +
+			"collectives; scale entries are the 10^4-10^5-processor presets and are exempt " +
+			"from the CI gate",
 		Regenerate: "go run ./cmd/schedbench -dist -o BENCH_dist.json",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	target := 600 * time.Millisecond
+	pairs, budget := slices.Concat(DistGatePairs, DistScalePairs), 1200*time.Millisecond
 	if quick {
-		target = 200 * time.Millisecond
+		pairs, budget = DistGatePairs, 400*time.Millisecond
 	}
-	for _, pair := range DistGatePairs {
-		e, err := distEntry(pair, target)
+	for _, pair := range pairs {
+		e, err := distEntry(pair, budget)
 		if err != nil {
 			return nil, err
 		}
 		report.Entries = append(report.Entries, *e)
-	}
-	if !quick {
-		for _, pair := range DistScalePairs {
-			e, err := distEntry(pair, 0)
-			if err != nil {
-				return nil, err
-			}
-			report.Entries = append(report.Entries, *e)
-		}
 	}
 	return report, nil
 }
@@ -306,78 +290,69 @@ func DistSmoke(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r, elapsed, peak, err := distSolve(c, s.DefaultAlgo, 0)
+	a, err := distAlgo(s.DefaultAlgo)
+	if err != nil {
+		return "", err
+	}
+	begin := time.Now()
+	r, net, peak, err := runSampled(a, c, 0)
+	elapsed := time.Since(begin)
 	if err != nil {
 		return "", err
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if peak > workers+16 {
-		return "", fmt.Errorf("bench: smoke %s: peak %d goroutines exceeds workers+16 = %d",
-			name, peak, workers+16)
+	if peak > workers+distGoroutineSlack {
+		return "", fmt.Errorf("bench: smoke %s: peak %d goroutines exceeds workers+%d = %d",
+			name, peak, distGoroutineSlack, workers+distGoroutineSlack)
 	}
 	return fmt.Sprintf(
 		"smoke %s/%s: %d processors, %d rounds + %d aggregations, %d messages, %d selected, %s wall, peak %d goroutines (workers %d)",
-		name, s.DefaultAlgo, len(prob.Demands), r.Net.Rounds, r.Net.Aggregations,
-		r.Net.Messages, len(r.Selected), elapsed.Round(time.Millisecond), peak, workers), nil
+		name, s.DefaultAlgo, len(prob.Demands), net.Rounds, net.Aggregations,
+		net.Messages, len(r.Selected), elapsed.Round(time.Millisecond), peak, workers), nil
 }
 
 // distGoroutineSlack is the gate's allowance above the worker count for
 // the harness itself (main goroutine, sampler, runtime helpers).
 const distGoroutineSlack = 16
 
-// CheckDist compares a fresh gate-tier measurement against the
-// checked-in baseline and errors when the substrate regressed:
+// CheckDist gates a fresh measurement against the checked-in baseline:
 //
-//   - the pool-vs-blocking speedup (a same-machine rounds/sec ratio,
-//     hardware-normalized) fell below (1−tolerance)× the recorded value
-//     — e.g. 0.25 = fail below 0.75×;
-//   - the absolute pool rounds/sec fell beyond the catastrophic
-//     nsCatastropheFactor backstop (loose because CI hardware differs
-//     from the baseline machine);
-//   - the pool engine's goroutine peak exceeded workers + O(1) — the
-//     scale property itself (checked on the current run, no baseline
-//     needed).
+//   - the pool engine's goroutine peak at most workers + O(1) — the
+//     scale property itself, checked on the current run at any
+//     GOMAXPROCS;
+//   - the pool-vs-blocking speedup (a within-run ratio of alternating
+//     pairs) at least 1−regressionTol times the baseline's, engaged only
+//     when the run's GOMAXPROCS equals the baseline's: the ratio itself
+//     moves with GOMAXPROCS, so no tolerance makes a comparison across
+//     values meaningful;
+//   - the pool rounds/sec within the nsCatastropheFactor backstop.
 //
-// Entries present in only one report are ignored so the tracked set can
-// evolve. Scale-tier entries are exempt from the baseline-relative gates
-// (their timings are deliberate one-shot measurements); the absolute
-// goroutine bound applies to every entry present — it is the scale
-// property itself.
-func CheckDist(current, baseline *DistReport, tolerance float64) error {
-	base := make(map[string]*DistEntry, len(baseline.Entries))
-	for i := range baseline.Entries {
-		base[baseline.Entries[i].DistKey()] = &baseline.Entries[i]
-	}
-	var failures []string
+// Scale-tier entries are exempt from the baseline-relative gates (their
+// timings are deliberate one-shot measurements). Entries present only in
+// the baseline are ignored so the tracked set can evolve.
+func CheckDist(current, baseline *DistReport) []Gate {
+	var gates gateList
+	base := index(baseline.Entries, (*DistEntry).DistKey)
 	for i := range current.Entries {
 		e := &current.Entries[i]
-		if e.PoolPeakGoroutines > e.Workers+distGoroutineSlack {
-			failures = append(failures, fmt.Sprintf(
-				"%s: pool engine peaked at %d goroutines with %d workers (> workers+%d) — the scale property is broken",
-				e.DistKey(), e.PoolPeakGoroutines, e.Workers, distGoroutineSlack))
-		}
-		if e.Scale {
+		key := e.DistKey()
+		gates.check(key+" pool goroutine peak", e.PoolPeakGoroutines <= e.Workers+distGoroutineSlack,
+			"%d goroutines with %d workers, allowed ≤ workers+%d", e.PoolPeakGoroutines, e.Workers, distGoroutineSlack)
+		want := base[key]
+		switch {
+		case e.Scale:
+			gates.inert(key+" speedup and rounds/sec", "scale tier is timed once")
+			continue
+		case want == nil:
+			gates.inert(key+" speedup and rounds/sec", "not in baseline")
 			continue
 		}
-		want := base[e.DistKey()]
-		if want == nil {
-			continue
+		if why := sameProcs(current.GOMAXPROCS, baseline.GOMAXPROCS); why != "" {
+			gates.inert(key+" speedup vs blocking", why)
+		} else {
+			gates.atLeast(key+" speedup vs blocking", e.SpeedupVsBlocking, want.SpeedupVsBlocking, 1-regressionTol, "x")
 		}
-		if want.SpeedupVsBlocking > 0 && e.SpeedupVsBlocking < want.SpeedupVsBlocking*(1-tolerance) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: pool speedup vs blocking %.2fx, baseline %.2fx (%.2fx < allowed %.2fx)",
-				e.DistKey(), e.SpeedupVsBlocking, want.SpeedupVsBlocking,
-				e.SpeedupVsBlocking/want.SpeedupVsBlocking, 1-tolerance))
-		}
-		if want.PoolRoundsPerSec > 0 && e.PoolRoundsPerSec < want.PoolRoundsPerSec/nsCatastropheFactor {
-			failures = append(failures, fmt.Sprintf(
-				"%s: pool %.0f rounds/sec vs baseline %.0f (beyond the catastrophic %gx backstop)",
-				e.DistKey(), e.PoolRoundsPerSec, want.PoolRoundsPerSec, nsCatastropheFactor))
-		}
+		gates.atLeast(key+" pool rounds/sec backstop", e.PoolRoundsPerSec, want.PoolRoundsPerSec, 1/nsCatastropheFactor, "rounds/s")
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: distributed-runtime regression against BENCH_dist.json:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return nil
+	return gates
 }

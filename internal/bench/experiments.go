@@ -31,15 +31,45 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ratioStats accumulates certified/true ratios over trials.
+// ratioStats accumulates certified/true ratios over trials, and the
+// profit ratio against greedy where a table reports it.
 type ratioStats struct {
 	certSum, trueSum float64
 	certMax, trueMax float64
 	trueN            int
 	n                int
-	profitSum        float64
-	optSum           float64
+	vsGreedySum      float64
 }
+
+// trial solves p with algo, panics on an infeasible schedule, and
+// records the certified ratio and, where exact fits its node budget, the
+// true ratio against the optimum.
+func (s *ratioStats) trial(p *instanceProblem, algo string, opts core.Options) *core.Result {
+	res, _, err := core.Solve(p, algo, opts)
+	if err != nil {
+		panic(err)
+	}
+	mustFeasible(p, res)
+	s.addCert(res.CertifiedRatio)
+	if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
+		s.addTrue(opt.Profit / res.Profit)
+	}
+	return res
+}
+
+// versusGreedy records res's profit over greedy's on p.
+func (s *ratioStats) versusGreedy(p *instanceProblem, res *core.Result) {
+	g, _, err := core.Solve(p, "greedy", core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	if g.Profit > 0 {
+		s.vsGreedySum += res.Profit / g.Profit
+	}
+}
+
+// vsGreedyMean is the mean profit ratio against greedy per trial.
+func (s *ratioStats) vsGreedyMean() float64 { return s.vsGreedySum / float64(s.n) }
 
 func (s *ratioStats) addCert(r float64) {
 	s.certSum += r
@@ -98,16 +128,7 @@ func E1TreeUnitRatios(cfg Config) *Table {
 				p := gen.TreeProblem(gen.TreeConfig{
 					N: sz[0], Trees: sz[1], Demands: sz[2], Unit: true, Shape: shape,
 				}, rng)
-				res, _, err := core.Solve(p, "tree-unit", core.Options{Epsilon: eps, Seed: uint64(trial)})
-				if err != nil {
-					panic(err)
-				}
-				mustFeasible(p, res)
-				bound = res.Bound
-				st.addCert(res.CertifiedRatio)
-				if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-					st.addTrue(opt.Profit / res.Profit)
-				}
+				bound = st.trial(p, "tree-unit", core.Options{Epsilon: eps, Seed: uint64(trial)}).Bound
 			}
 			t.Add(shape.String(), sz[0], sz[1], sz[2], st.certMean(), st.certMax, st.trueMean(), bound)
 		}
@@ -182,16 +203,8 @@ func E3Narrow(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 20, Trees: 2, Demands: 12, HMin: hmin, HMax: 0.5,
 			}, rng)
-			res, _, err := core.Solve(p, "narrow", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, res)
+			res := st.trial(p, "narrow", core.Options{Epsilon: 0.25, Seed: uint64(trial), CollectTrace: true})
 			bound = res.Bound
-			st.addCert(res.CertifiedRatio)
-			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-				st.addTrue(opt.Profit / res.Profit)
-			}
 			if len(res.Trace.StepsPerStage) > 0 {
 				stages = len(res.Trace.StepsPerStage[0])
 			}
@@ -227,30 +240,16 @@ func E4Arbitrary(cfg Config) *Table {
 		{"mostly narrow 0.1–0.5", 0.1, 0.5},
 	} {
 		var st ratioStats
-		var bound, vsGreedy float64
+		var bound float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 18, Trees: 2, Demands: 12, HMin: w.hmin, HMax: w.hmax,
 			}, rng)
-			res, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, res)
+			res := st.trial(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			bound = res.Bound
-			st.addCert(res.CertifiedRatio)
-			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-				st.addTrue(opt.Profit / res.Profit)
-			}
-			g, _, err := core.Solve(p, "greedy", core.Options{})
-			if err != nil {
-				panic(err)
-			}
-			if g.Profit > 0 {
-				vsGreedy += res.Profit / g.Profit
-			}
+			st.versusGreedy(p, res)
 		}
-		t.Add(w.name, st.certMean(), st.trueMean(), bound, vsGreedy/float64(cfg.Trials))
+		t.Add(w.name, st.certMean(), st.trueMean(), bound, st.vsGreedyMean())
 	}
 	t.Note("bound = (∆+1)/λ + (2∆²+1)/λ ≤ 80/(1−ε) per Theorem 6.3; measured ratios sit far below it.")
 	return t
@@ -276,22 +275,13 @@ func E5LineUnit(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 32, Resources: 2, Demands: 14, Unit: true, MaxProc: 8,
 		}, rng)
-		opt, _, optErr := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000})
 		for _, run := range []struct {
 			acc  *accum
 			algo string
 		}{{ours, "line-unit"}, {ps, "ps"}} {
-			res, _, err := core.Solve(p, run.algo, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, res)
+			res := run.acc.st.trial(p, run.algo, core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			run.acc.bound = res.Bound
-			run.acc.st.addCert(res.CertifiedRatio)
 			run.acc.profit += res.Profit
-			if optErr == nil && res.Profit > 0 {
-				run.acc.st.addTrue(opt.Profit / res.Profit)
-			}
 		}
 	}
 	n := float64(cfg.Trials * 2)
@@ -319,30 +309,16 @@ func E6LineArbitrary(cfg Config) *Table {
 		{"narrow 0.1–0.5", 0.1, 0.5},
 	} {
 		var st ratioStats
-		var bound, vsGreedy float64
+		var bound float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			p := gen.LineProblem(gen.LineConfig{
 				Slots: 28, Resources: 2, Demands: 12, HMin: res.hmin, HMax: res.hmax, MaxProc: 7,
 			}, rng)
-			r, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, r)
+			r := st.trial(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
 			bound = r.Bound
-			st.addCert(r.CertifiedRatio)
-			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && r.Profit > 0 {
-				st.addTrue(opt.Profit / r.Profit)
-			}
-			g, _, err := core.Solve(p, "greedy", core.Options{})
-			if err != nil {
-				panic(err)
-			}
-			if g.Profit > 0 {
-				vsGreedy += r.Profit / g.Profit
-			}
+			st.versusGreedy(p, r)
 		}
-		t.Add(res.name, st.certMean(), st.trueMean(), bound, vsGreedy/float64(cfg.Trials))
+		t.Add(res.name, st.certMean(), st.trueMean(), bound, st.vsGreedyMean())
 	}
 	t.Note("combined bound (4+ε)+(19+ε) = 23+2ε (Thm 7.2); [16]'s comparable guarantee is 55+ε.")
 	return t

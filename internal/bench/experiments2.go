@@ -108,16 +108,7 @@ func E9Sequential(cfg Config) *Table {
 			p := gen.TreeProblem(gen.TreeConfig{
 				N: 14, Trees: trees, Demands: 10, Unit: true,
 			}, rng)
-			res, _, err := core.Solve(p, "sequential", core.Options{})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, res)
-			bound = res.Bound
-			st.addCert(res.CertifiedRatio)
-			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-				st.addTrue(opt.Profit / res.Profit)
-			}
+			bound = st.trial(p, "sequential", core.Options{}).Bound
 		}
 		t.Add(fmt.Sprintf("tree ×%d", trees), st.certMean(), st.certMax, st.trueMean(), bound)
 	}
@@ -128,15 +119,7 @@ func E9Sequential(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 20, Resources: 2, Demands: 10, Unit: true, MaxProc: 6,
 		}, rng)
-		res, _, err := core.Solve(p, "seq-line", core.Options{})
-		if err != nil {
-			panic(err)
-		}
-		mustFeasible(p, res)
-		st.addCert(res.CertifiedRatio)
-		if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-			st.addTrue(opt.Profit / res.Profit)
-		}
+		st.trial(p, "seq-line", core.Options{})
 	}
 	t.Add("line (Bar-Noy style)", st.certMean(), st.certMax, st.trueMean(), 2.0)
 	t.Note("single tree drops the α variables (Lewin-Eytan et al. reformulated): ∆=2, λ=1 ⇒ ratio 2; multiple trees ⇒ 3; the line row is the [4,5] 2-approximation with π(d) = {end slot}, ∆=1.")
@@ -163,7 +146,6 @@ func E10Capacitated(cfg Config) *Table {
 		{"line", false, 2.0, 0.8},
 	} {
 		var st ratioStats
-		var vsGreedy float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			var p *instanceProblem
 			if w.tree {
@@ -177,24 +159,9 @@ func E10Capacitated(cfg Config) *Table {
 					MaxProc: 6, Capacity: w.cap, CapJitter: w.jit,
 				}, rng)
 			}
-			res, _, err := core.Solve(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)})
-			if err != nil {
-				panic(err)
-			}
-			mustFeasible(p, res)
-			st.addCert(res.CertifiedRatio)
-			if opt, _, err := core.Solve(p, "exact", core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
-				st.addTrue(opt.Profit / res.Profit)
-			}
-			g, _, err := core.Solve(p, "greedy", core.Options{})
-			if err != nil {
-				panic(err)
-			}
-			if g.Profit > 0 {
-				vsGreedy += res.Profit / g.Profit
-			}
+			st.versusGreedy(p, st.trial(p, "arbitrary", core.Options{Epsilon: 0.25, Seed: uint64(trial)}))
 		}
-		t.Add(w.name, w.cap, st.certMean(), st.trueMean(), vsGreedy/float64(cfg.Trials))
+		t.Add(w.name, w.cap, st.certMean(), st.trueMean(), st.vsGreedyMean())
 	}
 	t.Note("capacities drawn as cap ± jitter per edge; heights classified by effective (capacity-normalized) height; the Capacitated raise rule stores β pre-multiplied by cap (see internal/lp).")
 	return t

@@ -363,34 +363,12 @@ func (w *loadWorkload) burstySchedule(n int, offeredRPS float64) []arrival {
 	return sched
 }
 
-// loadEngine builds the engine under test. CompileWorkers=1 keeps each
-// request's cost flat (no intra-request fan-out competing with the
-// load's own concurrency); everything else is the serving default.
-func loadEngine(cacheShards int) *service.Engine {
-	return service.New(service.Config{
-		CompileWorkers: 1,
-		CacheShards:    cacheShards,
-		MaxSessions:    512,
-	})
-}
-
-// Recorder configurations of the overhead tier.
-const (
-	recModeOff    = "off"    // DisableRecorder: the pre-recorder oracle
-	recModeOn     = "on"     // recorder on, span sampling off (serving default)
-	recModeTraced = "traced" // sample=1: every request records its span timeline
-)
-
-// loadEngineRecorder is loadEngine with the recorder configuration of
-// the overhead tier's mode.
-func loadEngineRecorder(mode string) *service.Engine {
-	cfg := service.Config{CompileWorkers: 1, MaxSessions: 512}
-	switch mode {
-	case recModeOff:
-		cfg.DisableRecorder = true
-	case recModeTraced:
-		cfg.TraceSample = 1
-	}
+// loadEngine builds the engine under test from cfg. CompileWorkers=1
+// keeps each request's cost flat (no intra-request fan-out competing
+// with the load's own concurrency); what cfg leaves zero is the serving
+// default.
+func loadEngine(cfg service.Config) *service.Engine {
+	cfg.CompileWorkers, cfg.MaxSessions = 1, 512
 	return service.New(cfg)
 }
 
@@ -515,7 +493,7 @@ const loadSessionShare = 0.05
 // measureLoadEntry runs one (arrival × clients) regime end to end on a
 // fresh engine.
 func measureLoadEntry(arrivalProc string, clients int, ph loadPhases, quick bool) (*LoadEntry, error) {
-	e := loadEngine(0)
+	e := loadEngine(service.Config{})
 	defer e.Close()
 	entry := &LoadEntry{Arrival: arrivalProc, Clients: clients, SessionShare: loadSessionShare}
 
@@ -586,9 +564,9 @@ func clampRate(r float64) float64 {
 }
 
 // measureRecorderEntry runs the recorder-overhead tier: rounds of the
-// mixed closed loop alternating between the three recorder
-// configurations on paired seeds (each round's three engines replay
-// identical traffic).
+// mixed closed loop rotating between the three recorder configurations
+// on paired seeds (each round's three engines replay identical traffic),
+// each configuration keeping its best round.
 func measureRecorderEntry(clients int, ph loadPhases, quick bool) (*LoadRecorderEntry, error) {
 	reps, perClient := 4, 4000
 	if quick {
@@ -610,52 +588,46 @@ func measureRecorderEntry(clients int, ph loadPhases, quick bool) (*LoadRecorder
 		}
 		scheds[i] = sched
 	}
-	total := clients * perClient
-	modes := []string{recModeOff, recModeOn, recModeTraced}
-	bestRPS := make(map[string]float64, len(modes))
-	for rep := 0; rep < reps; rep++ {
-		for mi := range modes {
-			mode := modes[(rep+mi)%len(modes)] // rotate order so drift never lands on one mode
-			e := loadEngineRecorder(mode)
-			wall, err := replayFixed(e, scheds)
-			e.Close()
-			if err != nil {
-				return nil, fmt.Errorf("bench: recorder/%s rep %d: %v", mode, rep, err)
-			}
-			if rps := float64(total) / wall.Seconds(); rps > bestRPS[mode] {
-				bestRPS[mode] = rps
-			}
-		}
+	// One arm per recorder configuration: off (DisableRecorder, the
+	// pre-recorder oracle), on (span sampling off, the serving default)
+	// and traced (sample=1: every request records its span timeline).
+	// Each round runs on a fresh engine so every round does identical
+	// work; building and closing the engine sits inside the timed region
+	// and is orders of magnitude cheaper than the replay.
+	recorder := func(name string, cfg service.Config) arm {
+		return arm{name, func(int) error {
+			e := loadEngine(cfg)
+			defer e.Close()
+			return replayFixed(e, scheds)
+		}}
 	}
-	overhead := func(v float64) float64 {
-		base := bestRPS[recModeOff]
-		if base <= 0 {
-			return 0
-		}
-		o := 1 - v/base
-		if o < 0 {
-			return 0
-		}
-		return o
+	res, err := measureArms(plan{rounds: reps, calls: 1},
+		recorder("off", service.Config{DisableRecorder: true}),
+		recorder("on", service.Config{}),
+		recorder("traced", service.Config{TraceSample: 1}))
+	if err != nil {
+		return nil, fmt.Errorf("bench: recorder: %v", err)
 	}
+	total := float64(clients * perClient)
+	rps := func(k int) float64 { return total / time.Duration(res[k].bestNs()).Seconds() }
+	baseRPS := rps(0)
+	overhead := func(v float64) float64 { return max(0, 1-v/baseRPS) }
 	return &LoadRecorderEntry{
 		Clients:          clients,
 		Rounds:           reps,
-		BaselineRPS:      bestRPS[recModeOff],
-		RecorderRPS:      bestRPS[recModeOn],
-		TracedRPS:        bestRPS[recModeTraced],
-		RecorderOverhead: overhead(bestRPS[recModeOn]),
-		TracedOverhead:   overhead(bestRPS[recModeTraced]),
+		BaselineRPS:      baseRPS,
+		RecorderRPS:      rps(1),
+		TracedRPS:        rps(2),
+		RecorderOverhead: overhead(rps(1)),
+		TracedOverhead:   overhead(rps(2)),
 	}, nil
 }
 
-// replayFixed runs every pre-drawn client schedule to completion on e
-// and returns the wall clock of the whole fixed workload.
-func replayFixed(e *service.Engine, scheds [][]arrival) (time.Duration, error) {
+// replayFixed runs every pre-drawn client schedule to completion on e.
+func replayFixed(e *service.Engine, scheds [][]arrival) error {
 	ctx := context.Background()
 	var errs atomic.Int64
 	var wg sync.WaitGroup
-	begin := time.Now()
 	for _, sched := range scheds {
 		wg.Add(1)
 		go func(sched []arrival) {
@@ -668,11 +640,10 @@ func replayFixed(e *service.Engine, scheds [][]arrival) (time.Duration, error) {
 		}(sched)
 	}
 	wg.Wait()
-	wall := time.Since(begin)
 	if n := errs.Load(); n > 0 {
-		return 0, fmt.Errorf("%d requests failed", n)
+		return fmt.Errorf("%d requests failed", n)
 	}
-	return wall, nil
+	return nil
 }
 
 // shardContentionRPS measures the result-hit-heavy closed loop on an
@@ -680,7 +651,7 @@ func replayFixed(e *service.Engine, scheds [][]arrival) (time.Duration, error) {
 // clients hammer cache hits — the regime where the cache lock is the
 // entire hot path.
 func shardContentionRPS(cacheShards, clients int, dur time.Duration) (rps float64, shards int, err error) {
-	e := loadEngine(cacheShards)
+	e := loadEngine(service.Config{CacheShards: cacheShards})
 	defer e.Close()
 	shards = e.Metrics().CacheShards
 
@@ -774,14 +745,8 @@ func LoadBench(quick bool) (*LoadReport, error) {
 	return report, nil
 }
 
-// Load-gate tolerances. The latency/saturation gates compare against
-// the committed baseline only when GOMAXPROCS matches it (same class
-// of runner — the BENCH_core convention); a mismatched runner still
-// gets the full structural sanity gate.
+// Load-gate bounds. The latency/saturation gates use regressionTol.
 const (
-	// loadRegressionTol is the p99/saturation regression budget vs the
-	// baseline: fail beyond 25% worse.
-	loadRegressionTol = 0.25
 	// minShardSpeedup is the contention floor on >=scaleGateProcs-core
 	// runners: the sharded layout must beat the single lock by at least
 	// this factor on the hit-heavy loop.
@@ -795,142 +760,115 @@ const (
 	recorderOverheadTolQuick = 0.25
 )
 
-// CheckLoad validates a fresh report and compares it against the
-// checked-in baseline, returning an error on sanity or regression
-// failures.
-func CheckLoad(current, baseline *LoadReport) error {
-	var failures []string
+// id names an entry in gate lines and the baseline index.
+func (e *LoadEntry) id() string { return fmt.Sprintf("%s/%d", e.Arrival, e.Clients) }
 
-	// Structural sanity: the acceptance shape of the report.
+// CheckLoad gates a fresh report: the structural sanity of every entry
+// and the recorder overhead (a within-run ratio) on any runner; the
+// p99/saturation regression gates against the baseline only when the run
+// matches its GOMAXPROCS and its quick/full size (wall-clock numbers
+// across machines or window lengths carry no signal); and the
+// shard-contention floor only on ≥scaleGateProcs-core runners.
+func CheckLoad(current, baseline *LoadReport) []Gate {
+	var gates gateList
+	base := index(baseline.Entries, (*LoadEntry).id)
+	regression := sameProcs(current.GOMAXPROCS, baseline.GOMAXPROCS)
+	if regression == "" {
+		regression = sameSize(current.Quick, baseline.Quick)
+	}
 	arrivals, levels := map[string]bool{}, map[int]bool{}
 	for i := range current.Entries {
 		e := &current.Entries[i]
-		arrivals[e.Arrival] = true
-		levels[e.Clients] = true
-		id := fmt.Sprintf("%s/%d", e.Arrival, e.Clients)
+		id := e.id()
+		arrivals[e.Arrival], levels[e.Clients] = true, true
+
+		var bad []string
 		if e.Completed <= 0 {
-			failures = append(failures, id+": no completed requests")
+			bad = append(bad, "no completed requests")
 		}
 		if e.Errors > 0 {
-			failures = append(failures, fmt.Sprintf("%s: %d request errors", id, e.Errors))
+			bad = append(bad, fmt.Sprintf("%d request errors", e.Errors))
 		}
 		if e.SaturationRPS <= 0 || e.AchievedRPS <= 0 {
-			failures = append(failures, id+": non-positive throughput")
+			bad = append(bad, "non-positive throughput")
 		}
 		if e.Latency.P50Ns <= 0 || e.Latency.P99Ns < e.Latency.P50Ns {
-			failures = append(failures, fmt.Sprintf("%s: implausible latency quantiles p50=%d p99=%d",
-				id, e.Latency.P50Ns, e.Latency.P99Ns))
+			bad = append(bad, fmt.Sprintf("implausible latency quantiles p50=%d p99=%d", e.Latency.P50Ns, e.Latency.P99Ns))
 		}
 		for _, r := range []struct {
 			name string
 			v    float64
 		}{{"coalescing_rate", e.CoalescingRate}, {"result_hit_rate", e.ResultHitRate}, {"compiled_hit_rate", e.CompiledHitRate}} {
 			if r.v < 0 || r.v > 1 {
-				failures = append(failures, fmt.Sprintf("%s: %s %g outside [0,1]", id, r.name, r.v))
+				bad = append(bad, fmt.Sprintf("%s %g outside [0,1]", r.name, r.v))
 			}
 		}
+		if len(bad) > 0 {
+			gates.check(id+" sanity", false, "%s", strings.Join(bad, "; "))
+		} else {
+			gates.check(id+" sanity", true, "%d completed, %.0f rps, p50 %.2f ms, p99 %.2f ms",
+				e.Completed, e.AchievedRPS, float64(e.Latency.P50Ns)/1e6, float64(e.Latency.P99Ns)/1e6)
+		}
 		// Bursty herds coalesce whenever two requests can genuinely
-		// overlap; a single-core recorder serializes goroutines and may
+		// overlap; a single-core runner serializes goroutines and may
 		// legitimately record ~0.
-		if e.Arrival == ArrivalBursty && current.GOMAXPROCS >= 2 && e.SolvesCoalesced == 0 {
-			failures = append(failures, id+": bursty herds produced zero coalesced solves on a multicore runner")
+		if e.Arrival == ArrivalBursty {
+			if current.GOMAXPROCS < 2 {
+				gates.inert(id+" herds coalesce", fmt.Sprintf("needs ≥ 2 cores, this run has %d", current.GOMAXPROCS))
+			} else {
+				gates.check(id+" herds coalesce", e.SolvesCoalesced > 0, "%d coalesced solves", e.SolvesCoalesced)
+			}
+		}
+
+		want := base[id]
+		switch {
+		case want == nil:
+			gates.inert(id+" saturation and p99 vs baseline", "not in baseline")
+		case regression != "":
+			gates.inert(id+" saturation vs baseline", regression)
+			gates.inert(id+" p99 vs baseline", regression)
+		default:
+			gates.atLeast(id+" saturation vs baseline", e.SaturationRPS, want.SaturationRPS, 1-regressionTol, "rps")
+			gates.atMost(id+" p99 vs baseline", float64(e.Latency.P99Ns)/1e6, float64(want.Latency.P99Ns)/1e6, 1+regressionTol, "ms")
 		}
 	}
-	if len(arrivals) < 2 || len(levels) < 2 {
-		failures = append(failures, fmt.Sprintf(
-			"report covers %d arrival processes x %d concurrency levels, want >=2x2", len(arrivals), len(levels)))
-	}
-	if len(current.ShardEntries) == 0 {
-		failures = append(failures, "report has no shard-contention entries")
-	}
-	if len(current.RecorderEntries) == 0 {
-		failures = append(failures, "report has no recorder-overhead entries")
-	}
+	gates.check("coverage", len(arrivals) >= 2 && len(levels) >= 2,
+		"%d arrival processes x %d concurrency levels, want ≥ 2x2", len(arrivals), len(levels))
+
+	gates.check("recorder-overhead entries", len(current.RecorderEntries) > 0, "%d", len(current.RecorderEntries))
 	recTol := recorderOverheadTol
 	if current.Quick {
 		recTol = recorderOverheadTolQuick
 	}
 	for _, re := range current.RecorderEntries {
 		id := fmt.Sprintf("recorder/%d clients", re.Clients)
-		if re.BaselineRPS <= 0 || re.RecorderRPS <= 0 || re.TracedRPS <= 0 {
-			failures = append(failures, id+": non-positive throughput")
-		}
-		if re.RecorderOverhead > recTol {
-			failures = append(failures, fmt.Sprintf(
-				"%s: recorder overhead %.1f%% vs the DisableRecorder oracle (> allowed %.1f%%)",
-				id, re.RecorderOverhead*100, recTol*100))
-		}
+		gates.check(id+" throughput", re.BaselineRPS > 0 && re.RecorderRPS > 0 && re.TracedRPS > 0,
+			"off %.0f, on %.0f, traced %.0f rps", re.BaselineRPS, re.RecorderRPS, re.TracedRPS)
+		gates.check(id+" overhead", re.RecorderOverhead <= recTol,
+			"%.1f%% vs the DisableRecorder oracle, allowed ≤ %.1f%%", re.RecorderOverhead*100, recTol*100)
 	}
+
+	gates.check("shard-contention entries", len(current.ShardEntries) > 0, "%d", len(current.ShardEntries))
+	best, baseBest := 0.0, 0.0
 	for _, se := range current.ShardEntries {
-		if se.SingleShardRPS <= 0 || se.ShardedRPS <= 0 {
-			failures = append(failures, fmt.Sprintf("shards/%d clients: non-positive throughput", se.Clients))
-		}
-		if se.Shards < 2 {
-			failures = append(failures, fmt.Sprintf("shards/%d clients: sharded column ran with %d shards", se.Clients, se.Shards))
-		}
+		best = max(best, se.Speedup)
+		gates.check(fmt.Sprintf("shards/%d clients sanity", se.Clients),
+			se.SingleShardRPS > 0 && se.ShardedRPS > 0 && se.Shards >= 2,
+			"single lock %.0f rps, sharded %.0f rps on %d shards (want ≥ 2)", se.SingleShardRPS, se.ShardedRPS, se.Shards)
 	}
-
-	// Regression gates vs the baseline, keyed on GOMAXPROCS like the
-	// BENCH_core speedup gates (cross-machine wall-clock comparisons
-	// carry no signal) and on matching workload size (a -quick run's
-	// shorter windows are not comparable to a full recording — the
-	// BENCH_core convention).
-	if baseline != nil && current.GOMAXPROCS == baseline.GOMAXPROCS && current.Quick == baseline.Quick {
-		base := make(map[string]*LoadEntry, len(baseline.Entries))
-		for i := range baseline.Entries {
-			b := &baseline.Entries[i]
-			base[fmt.Sprintf("%s/%d", b.Arrival, b.Clients)] = b
-		}
-		for i := range current.Entries {
-			e := &current.Entries[i]
-			id := fmt.Sprintf("%s/%d", e.Arrival, e.Clients)
-			want := base[id]
-			if want == nil {
-				continue
-			}
-			if want.SaturationRPS > 0 && e.SaturationRPS < want.SaturationRPS*(1-loadRegressionTol) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: saturation %.0f rps vs baseline %.0f (more than %.0f%% down)",
-					id, e.SaturationRPS, want.SaturationRPS, loadRegressionTol*100))
-			}
-			if want.Latency.P99Ns > 0 && float64(e.Latency.P99Ns) > float64(want.Latency.P99Ns)*(1+loadRegressionTol) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: p99 %.2fms vs baseline %.2fms (more than %.0f%% up)",
-					id, float64(e.Latency.P99Ns)/1e6, float64(want.Latency.P99Ns)/1e6, loadRegressionTol*100))
-			}
-		}
+	for _, se := range baseline.ShardEntries {
+		baseBest = max(baseBest, se.Speedup)
 	}
-
-	// Shard-contention gate: only meaningful with real parallelism.
-	if current.GOMAXPROCS >= scaleGateProcs {
-		best := 0.0
-		for _, se := range current.ShardEntries {
-			if se.Speedup > best {
-				best = se.Speedup
-			}
-		}
-		if best < minShardSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"sharded caches: best contention speedup %.2fx on %d cores (< required %.2fx vs single lock)",
-				best, current.GOMAXPROCS, minShardSpeedup))
-		}
-		if baseline != nil && baseline.GOMAXPROCS >= scaleGateProcs {
-			baseBest := 0.0
-			for _, se := range baseline.ShardEntries {
-				if se.Speedup > baseBest {
-					baseBest = se.Speedup
-				}
-			}
-			if baseBest > 0 && best < baseBest*0.75 {
-				failures = append(failures, fmt.Sprintf(
-					"sharded caches: contention speedup %.2fx vs baseline %.2fx (< 0.75x of baseline)", best, baseBest))
-			}
-		}
+	if current.GOMAXPROCS < scaleGateProcs {
+		gates.inert("sharded caches contention speedup", multicore(current.GOMAXPROCS, scaleGateProcs))
+	} else {
+		gates.check("sharded caches contention speedup", best >= minShardSpeedup,
+			"%.2fx on %d cores, required ≥ %.2fx vs single lock", best, current.GOMAXPROCS, minShardSpeedup)
 	}
-
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: load gate failed against BENCH_load.json:\n  %s",
-			strings.Join(failures, "\n  "))
+	if why := multicore(current.GOMAXPROCS, baseline.GOMAXPROCS); why != "" {
+		gates.inert("sharded caches contention speedup vs baseline", why)
+	} else {
+		gates.atLeast("sharded caches contention speedup vs baseline", best, baseBest, 0.75, "x")
 	}
-	return nil
+	return gates
 }

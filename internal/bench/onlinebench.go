@@ -8,8 +8,8 @@ package bench
 // (incremental model rebuild, decomposition reuse, scratch adoption),
 // the cold arm recompiles the effective problem from scratch each step —
 // the regime a session-less service lives in. The speedup columns are
-// the subsystem's reason to exist; CheckOnline gates them in CI on the
-// hardware-independent allocation counts.
+// the subsystem's reason to exist; CheckOnline gates each arm's
+// hardware-independent allocation count in CI.
 
 import (
 	"fmt"
@@ -17,8 +17,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
-	"time"
 
 	"treesched/internal/core"
 	"treesched/internal/instance"
@@ -140,24 +138,6 @@ func onlineSequence(pool []instance.Demand, churn float64, steps int, seed int64
 	return out
 }
 
-// measureLoop times fn over every step and returns per-step ns and
-// allocs (single-goroutine; Mallocs is monotone so GC does not skew it).
-func measureLoop(steps []onlineStep, fn func(i int, st *onlineStep) error) (nsPerOp, allocsPerOp float64, err error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	begin := time.Now()
-	for i := range steps {
-		if err := fn(i, &steps[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-	elapsed := time.Since(begin)
-	runtime.ReadMemStats(&after)
-	n := float64(len(steps))
-	return float64(elapsed.Nanoseconds()) / n, float64(after.Mallocs-before.Mallocs) / n, nil
-}
-
 // OnlineBench measures every tracked cell. Quick shrinks the step count
 // (CI smoke); the checked-in baseline should be regenerated without it.
 func OnlineBench(quick bool) (*OnlineReport, error) {
@@ -204,48 +184,48 @@ func OnlineBench(quick bool) (*OnlineReport, error) {
 				vc = nc
 			}
 
-			// Delta arm. The starting compilation solves once untimed so
-			// the full model exists, as a session's first resolve would
-			// have ensured.
+			// The two arms replay the sequence once each, one call per
+			// step. The delta arm's starting compilation solves once untimed
+			// so the full model exists, as a session's first resolve would
+			// have ensured; the cold arm recompiles each step's effective
+			// problem from scratch.
 			cur, err := core.Compile(base, 0)
 			if err != nil {
 				return nil, err
 			}
-			if err := coreSolve(cur, pair.Algo); err != nil {
+			if err := coreSolve(cur, pair.Algo, nil); err != nil {
 				return nil, fmt.Errorf("bench: %s/%s warmup: %v", pair.Scenario, pair.Algo, err)
 			}
-			entry.DeltaNsPerResolve, entry.DeltaAllocsPerResolve, err = measureLoop(seq, func(_ int, st *onlineStep) error {
-				nc, err := cur.WithJobs(st.added, st.removed)
-				if err != nil {
-					return err
-				}
-				if err := coreSolve(nc, pair.Algo); err != nil {
-					return err
-				}
-				cur = nc
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s@%g delta: %v", pair.Scenario, pair.Algo, churn, err)
-			}
-
-			// Cold arm: same effective problems, recompiled from scratch.
 			problems := make([]*instance.Problem, len(seq))
 			for i := range seq {
 				p := *base
 				p.Demands = seq[i].effective
 				problems[i] = &p
 			}
-			entry.ColdNsPerResolve, entry.ColdAllocsPerResolve, err = measureLoop(seq, func(i int, _ *onlineStep) error {
-				c, err := core.Compile(problems[i], 0)
-				if err != nil {
-					return err
-				}
-				return coreSolve(c, pair.Algo)
-			})
+			res, err := measureArms(plan{rounds: 1, calls: len(seq)},
+				arm{"delta", func(i int) error {
+					nc, err := cur.WithJobs(seq[i].added, seq[i].removed)
+					if err != nil {
+						return err
+					}
+					if err := coreSolve(nc, pair.Algo, nil); err != nil {
+						return err
+					}
+					cur = nc
+					return nil
+				}},
+				arm{"cold", func(i int) error {
+					c, err := core.Compile(problems[i], 0)
+					if err != nil {
+						return err
+					}
+					return coreSolve(c, pair.Algo, nil)
+				}})
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s@%g cold: %v", pair.Scenario, pair.Algo, churn, err)
+				return nil, fmt.Errorf("bench: %s: %v", entry.OnlineKey(), err)
 			}
+			entry.DeltaNsPerResolve, entry.DeltaAllocsPerResolve = res[0].nsPerCall(), res[0].allocs
+			entry.ColdNsPerResolve, entry.ColdAllocsPerResolve = res[1].nsPerCall(), res[1].allocs
 
 			if entry.DeltaNsPerResolve > 0 {
 				entry.SpeedupNs = entry.ColdNsPerResolve / entry.DeltaNsPerResolve
@@ -259,39 +239,27 @@ func OnlineBench(quick bool) (*OnlineReport, error) {
 	return report, nil
 }
 
-// CheckOnline compares a fresh measurement against the checked-in
-// baseline and errors when any cell's delta-vs-cold advantage regressed:
-// the allocation-count speedup (hardware-independent) below
-// (1−tolerance)× the recorded value carries the strict gate, with a
-// loose 4× backstop on the wall-clock speedup for catastrophic
-// regressions. Cells present in only one report are ignored so the
-// tracked set can evolve.
-func CheckOnline(current, baseline *OnlineReport, tolerance float64) error {
-	base := make(map[string]*OnlineEntry, len(baseline.Entries))
-	for i := range baseline.Entries {
-		base[baseline.Entries[i].OnlineKey()] = &baseline.Entries[i]
-	}
-	var failures []string
+// CheckOnline gates a fresh measurement against the checked-in
+// baseline, per cell: the delta arm's and the cold arm's allocations per
+// resolve, each against that arm's own baseline (at most 1+regressionTol
+// times it), and the wall-clock speedup against the nsCatastropheFactor
+// backstop. The speedup columns are not gated otherwise: a ratio gate
+// fails first only when the cold arm improves. Cells present only in the
+// baseline are ignored so the tracked set can evolve.
+func CheckOnline(current, baseline *OnlineReport) []Gate {
+	var gates gateList
+	base := index(baseline.Entries, (*OnlineEntry).OnlineKey)
 	for i := range current.Entries {
 		e := &current.Entries[i]
-		want := base[e.OnlineKey()]
+		key := e.OnlineKey()
+		want := base[key]
 		if want == nil {
+			gates.inert(key, "not in baseline")
 			continue
 		}
-		if want.SpeedupAllocs > 0 && e.SpeedupAllocs < want.SpeedupAllocs*(1-tolerance) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: alloc speedup %.2fx vs baseline %.2fx (below allowed %.2fx)",
-				e.OnlineKey(), e.SpeedupAllocs, want.SpeedupAllocs, want.SpeedupAllocs*(1-tolerance)))
-		}
-		if want.SpeedupNs > 0 && e.SpeedupNs < want.SpeedupNs/nsCatastropheFactor {
-			failures = append(failures, fmt.Sprintf(
-				"%s: ns speedup %.2fx vs baseline %.2fx (below catastrophic %.2fx backstop)",
-				e.OnlineKey(), e.SpeedupNs, want.SpeedupNs, want.SpeedupNs/nsCatastropheFactor))
-		}
+		gates.atMost(key+" delta allocs/resolve", e.DeltaAllocsPerResolve, want.DeltaAllocsPerResolve, 1+regressionTol, "allocs")
+		gates.atMost(key+" cold allocs/resolve", e.ColdAllocsPerResolve, want.ColdAllocsPerResolve, 1+regressionTol, "allocs")
+		gates.atLeast(key+" ns speedup backstop", e.SpeedupNs, want.SpeedupNs, 1/nsCatastropheFactor, "x")
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench: delta-recompile regression against BENCH_online.json:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return nil
+	return gates
 }

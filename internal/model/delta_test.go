@@ -234,3 +234,28 @@ func TestFilterCopyMatchesBuild(t *testing.T) {
 		})
 	}
 }
+
+// TestFilterCopyAllocations pins the allocation count of FilterCopy, which
+// always finalizes serially: the sub-model, its copied rows, its derived
+// indexes and the consistency check's scratch, nothing more. A serial
+// finalize that hands its steps to par.Go as closures pays five more heap
+// allocations (four escaping closures and the shared error), on every
+// FilterCopy and every single-worker Build.
+func TestFilterCopyAllocations(t *testing.T) {
+	const budget = 18
+	for name, pair := range deltaProblems(13) {
+		m, err := Build(pair[0], Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := func(d instance.Inst) bool { return d.Demand%2 == 0 }
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := m.FilterCopy(keep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budget {
+			t.Errorf("%s: FilterCopy allocates %v times, budget %d", name, got, budget)
+		}
+	}
+}

@@ -247,9 +247,25 @@ func buildPaths(p *instance.Problem, insts []instance.Inst, workers int) CSR {
 // With workers > 1 the independent pieces run concurrently — first
 // {InstsOf, check} (neither reads the other), then, only on a validated
 // model, {GroupInsts, EdgeInsts} — each writing its own field, so the
-// derived state is identical to the serial order.
+// derived state is identical to the serial order. The serial path runs
+// the four steps inline rather than through par.Go: closures handed to
+// par.Go escape (its goroutine branch captures them), which would cost
+// every serial Build and FilterCopy five heap allocations.
 func (m *Model) finalize(workers int) error {
 	m.deriveScalars()
+	if workers <= 1 {
+		m.InstsOf = BucketCSR(m.NumDemands, len(m.Insts), func(i int32) int32 {
+			return m.Insts[i].Demand
+		})
+		if err := m.check(); err != nil {
+			return err
+		}
+		m.GroupInsts = BucketCSR(m.NumGroups, len(m.Insts), func(i int32) int32 {
+			return m.Group[i] - 1
+		})
+		m.EdgeInsts = InvertCSR(&m.Paths, m.EdgeSpace)
+		return nil
+	}
 	var checkErr error
 	par.Go(workers,
 		func() {
