@@ -77,11 +77,14 @@ type DistEntry struct {
 
 	// Pool engine (DistWorkers = 0), best of the entry's runs.
 	// RoundsPerSec counts all collectives (exchange rounds +
-	// aggregations) per second of solve wall time.
+	// aggregations) per second of solve wall time. AllocsPerSolve is the
+	// heap allocations per pool solve over every run; it depends on the
+	// worker count, so it is gated only at the baseline's GOMAXPROCS.
 	PoolNs             float64 `json:"pool_ns"`
 	PoolRoundsPerSec   float64 `json:"pool_rounds_per_sec"`
 	PoolMsgsPerSec     float64 `json:"pool_msgs_per_sec"`
 	PoolPeakGoroutines int     `json:"pool_peak_goroutines"`
+	PoolAllocsPerSolve float64 `json:"pool_allocs_per_solve"`
 
 	// Blocking anchor (DistWorkers = -1): one goroutine per processor,
 	// single-mutex barrier.
@@ -236,6 +239,7 @@ func distEntry(pair DistPair, budget time.Duration) (*DistEntry, error) {
 	e.PoolRoundsPerSec = collectives / poolSec
 	e.PoolMsgsPerSec = float64(e.Messages) / poolSec
 	e.PoolPeakGoroutines = peaks[0]
+	e.PoolAllocsPerSolve = pool.allocs
 	e.BlockingNs = float64(block.bestNs())
 	e.BlockingRoundsPerSec = collectives / blockSec
 	e.BlockingPeakGoroutines = peaks[1]
@@ -325,6 +329,9 @@ const distGoroutineSlack = 16
 //     when the run's GOMAXPROCS equals the baseline's: the ratio itself
 //     moves with GOMAXPROCS, so no tolerance makes a comparison across
 //     values meaningful;
+//   - the pool allocations per solve at most 1+regressionTol times the
+//     baseline's, engaged under the same condition: the pool engine's
+//     worker count, and with it its allocations, follows GOMAXPROCS;
 //   - the pool rounds/sec within the nsCatastropheFactor backstop.
 //
 // Scale-tier entries are exempt from the baseline-relative gates (their
@@ -349,8 +356,10 @@ func CheckDist(current, baseline *DistReport) []Gate {
 		}
 		if why := sameProcs(current.GOMAXPROCS, baseline.GOMAXPROCS); why != "" {
 			gates.inert(key+" speedup vs blocking", why)
+			gates.inert(key+" pool allocs/solve", why)
 		} else {
 			gates.atLeast(key+" speedup vs blocking", e.SpeedupVsBlocking, want.SpeedupVsBlocking, 1-regressionTol, "x")
+			gates.atMost(key+" pool allocs/solve", e.PoolAllocsPerSolve, want.PoolAllocsPerSolve, 1+regressionTol, "allocs")
 		}
 		gates.atLeast(key+" pool rounds/sec backstop", e.PoolRoundsPerSec, want.PoolRoundsPerSec, 1/nsCatastropheFactor, "rounds/s")
 	}

@@ -18,10 +18,11 @@ func TestGateReport(t *testing.T) {
 			SpeedupNs: 430_000.0 / 300_000, SpeedupAllocs: cold / delta,
 		}}}
 	}
-	distReport := func(procs int, speedup float64) *DistReport {
+	distReport := func(procs int, speedup, allocs float64) *DistReport {
 		return &DistReport{GOMAXPROCS: procs, Entries: []DistEntry{{
 			Scenario: "binary-fanout", Algo: "dist-unit", Demands: 40, Workers: procs,
-			PoolRoundsPerSec: 400_000, PoolPeakGoroutines: procs + 1, SpeedupVsBlocking: speedup,
+			PoolRoundsPerSec: 400_000, PoolPeakGoroutines: procs + 1, PoolAllocsPerSolve: allocs,
+			SpeedupVsBlocking: speedup,
 		}}}
 	}
 	loadReport := func(quick bool, p99 int64, sat float64) *LoadReport {
@@ -47,7 +48,7 @@ func TestGateReport(t *testing.T) {
 	}{
 		{
 			name:  "dist baseline at another GOMAXPROCS",
-			gates: CheckDist(distReport(2, 4.0), distReport(1, 6.0)),
+			gates: CheckDist(distReport(2, 4.0, 500), distReport(1, 6.0, 500)),
 			want: map[string]string{
 				"binary-fanout/dist-unit@40 speedup vs blocking":      "INERT",
 				"binary-fanout/dist-unit@40 pool goroutine peak":      "PASS",
@@ -56,8 +57,24 @@ func TestGateReport(t *testing.T) {
 		},
 		{
 			name:  "dist baseline at the same GOMAXPROCS",
-			gates: CheckDist(distReport(1, 4.0), distReport(1, 6.0)),
-			want:  map[string]string{"binary-fanout/dist-unit@40 speedup vs blocking": "FAIL"},
+			gates: CheckDist(distReport(1, 4.0, 500), distReport(1, 6.0, 500)),
+			want: map[string]string{
+				"binary-fanout/dist-unit@40 speedup vs blocking": "FAIL",
+				"binary-fanout/dist-unit@40 pool allocs/solve":   "PASS",
+			},
+		},
+		{
+			name:  "dist pool allocs rose by 30%",
+			gates: CheckDist(distReport(1, 6.0, 1.3*500), distReport(1, 6.0, 500)),
+			want: map[string]string{
+				"binary-fanout/dist-unit@40 pool allocs/solve":   "FAIL",
+				"binary-fanout/dist-unit@40 speedup vs blocking": "PASS",
+			},
+		},
+		{
+			name:  "dist pool allocs at another GOMAXPROCS",
+			gates: CheckDist(distReport(2, 6.0, 1.3*500), distReport(1, 6.0, 500)),
+			want:  map[string]string{"binary-fanout/dist-unit@40 pool allocs/solve": "INERT"},
 		},
 		{
 			name:  "online cold arm improved by 30%",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"treesched/internal/dist"
 	"treesched/internal/instance"
@@ -157,13 +158,11 @@ func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedR
 			cfg:         cfg,
 			m:           m,
 			dr:          dr,
-			ns:          newNodeState(m, u),
 			fixedSteps:  fixedSteps,
 			fixedPhases: fixedPhases,
-			undecided:   map[int32]bool{},
-			prio:        map[int32]float64{},
 		}
-		nodes[u] = e.ns
+		e.init(u)
+		nodes[u] = &e.ns
 		machines[u] = e
 		return e
 	}
@@ -210,7 +209,10 @@ const (
 
 // protoEngine is the per-processor executor: protocol state plus the
 // state-machine position. The scratch fields are reused across steps and
-// phases so the steady state allocates nothing. The epoch/stage/step
+// phases so the steady state allocates nothing. The Luby bookkeeping is
+// dense like nodeState: undecided and prio are parallel to ns.mine, and
+// participating, phaseWinners and winners hold positions in ns.mine;
+// only payloads carry global instance ids. The epoch/stage/step
 // counters are per-node state but identical on every node (loop
 // terminations are global aggregates or fixed counts), which is what
 // lets the priority function and the phase-2 reverse walk agree across
@@ -219,7 +221,7 @@ type protoEngine struct {
 	cfg         *distProtocol
 	m           *model.Model
 	dr          distRule
-	ns          *nodeState
+	ns          nodeState
 	fixedSteps  int
 	fixedPhases int
 
@@ -234,24 +236,51 @@ type protoEngine struct {
 
 	arena         payloadArena
 	participating []int32
-	undecided     map[int32]bool
-	prio          map[int32]float64
-	nbr           []prioCand
+	undecided     []bool
+	prio          []float64
 	phaseWinners  []int32
 	winners       []int32
-	allWinners    []int32
 
 	// Phase-2 reverse-walk state.
-	p2load       map[int32]float64
 	p2demandUsed bool
 	p2stackTop   int
 	p2t          int
 }
 
-// prioCand is a neighbor's announced (instance, priority) pair.
-type prioCand struct {
-	inst int32
-	prio float64
+// init lays out processor u's dense state: its relevant-edge row, the
+// slots of its owned paths, and the β, phase-2 load and Luby slices over
+// them, in three allocations. It runs once per processor per solve,
+// inside the protocol: kept on the compiled model, the layout would grow
+// every cached model, and no workload solves one compiled model twice
+// under a distributed algorithm.
+func (e *protoEngine) init(u int) {
+	m, ns := e.m, &e.ns
+	ns.mine = m.InstsOf.Row(int32(u))
+	k, n := len(ns.mine), 0
+	for _, i := range ns.mine {
+		n += len(m.Paths.Row(i))
+	}
+	ids := make([]int32, 2*n+k+1)
+	edges := ids[:0:n]
+	ns.slots, ns.pathOff = ids[n:2*n], ids[2*n:]
+	for _, i := range ns.mine {
+		edges = append(edges, m.Paths.Row(i)...)
+	}
+	slices.Sort(edges)
+	ns.edges = slices.Compact(edges)
+	at := int32(0)
+	for x, i := range ns.mine {
+		for _, edge := range m.Paths.Row(i) {
+			s, _ := ns.slot(edge)
+			ns.slots[at] = int32(s)
+			at++
+		}
+		ns.pathOff[x+1] = at
+	}
+	r := len(ns.edges)
+	vals := make([]float64, 2*r+k)
+	ns.beta, ns.p2load, e.prio = vals[:r], vals[r:2*r], vals[2*r:]
+	e.undecided = make([]bool, k)
 }
 
 func (e *protoEngine) conflicts(i, j int32) bool {
@@ -329,10 +358,10 @@ func (e *protoEngine) fail(err error) dist.Req {
 func (e *protoEngine) stageTop() dist.Req {
 	threshold := e.cfg.sched.Thresholds[e.j-1]
 	e.participating = e.participating[:0]
-	for _, i := range e.ns.mine {
+	for x, i := range e.ns.mine {
 		if int(e.m.Group[i]) == e.k &&
-			e.dr.lhs(e.m, e.ns, i) < threshold*e.m.Insts[i].Profit-lp.Tol {
-			e.participating = append(e.participating, i)
+			e.dr.lhs(e.m, &e.ns, x) < threshold*e.m.Insts[i].Profit-lp.Tol {
+			e.participating = append(e.participating, int32(x))
 		}
 	}
 	if e.fixedSteps > 0 {
@@ -375,8 +404,8 @@ func (e *protoEngine) beginStep() dist.Req {
 	}
 	e.stepCounter++
 	clear(e.undecided)
-	for _, i := range e.participating {
-		e.undecided[i] = true
+	for _, x := range e.participating {
+		e.undecided[x] = true
 	}
 	e.winners = e.winners[:0]
 	e.phase = 1
@@ -384,14 +413,15 @@ func (e *protoEngine) beginStep() dist.Req {
 }
 
 // reqPrio issues Luby round A: announce undecided instances and their
-// phase priorities (silent when none remain).
+// phase priorities (silent when none remain). prio is read only at
+// undecided positions, all of which this call sets.
 func (e *protoEngine) reqPrio() dist.Req {
-	clear(e.prio)
 	pp := e.arena.nextPrio()
-	for _, i := range e.participating {
-		if e.undecided[i] {
+	for _, x := range e.participating {
+		if e.undecided[x] {
+			i := e.ns.mine[x]
 			pr := mis.Priority(e.cfg.opts.Seed, i, e.stepCounter, e.phase)
-			e.prio[i] = pr
+			e.prio[x] = pr
 			pp.Insts = append(pp.Insts, i)
 			pp.Prios = append(pp.Prios, pr)
 		}
@@ -403,43 +433,38 @@ func (e *protoEngine) reqPrio() dist.Req {
 	return dist.Req{Op: dist.OpExchange}
 }
 
-// lubyDecide consumes round A's inbox: collect the neighbors' candidates
-// and decide which owned undecided instances beat every conflicting
-// undecided instance by (priority, id).
+// lubyDecide consumes round A's inbox, read in place: decide which owned
+// undecided instances beat every conflicting undecided instance, owned or
+// announced by a neighbor, by (priority, id).
 func (e *protoEngine) lubyDecide(in []dist.Message) {
-	e.nbr = e.nbr[:0]
+	e.phaseWinners = e.phaseWinners[:0]
+	for _, x := range e.participating {
+		if e.undecided[x] && e.beatsAll(x, in) {
+			e.phaseWinners = append(e.phaseWinners, x)
+		}
+	}
+}
+
+// beatsAll reports whether owned instance mine[x] precedes, by (priority,
+// id), every other undecided owned instance and every conflicting
+// candidate of round A's inbox.
+func (e *protoEngine) beatsAll(x int32, in []dist.Message) bool {
+	i, pr := e.ns.mine[x], e.prio[x]
+	for y, o := range e.ns.mine {
+		if int32(y) != x && e.undecided[y] &&
+			(e.prio[y] < pr || (e.prio[y] == pr && o < i)) {
+			return false
+		}
+	}
 	for _, msg := range in {
 		pl := msg.Payload.(*prioPayload)
-		for x, inst := range pl.Insts {
-			e.nbr = append(e.nbr, prioCand{inst: inst, prio: pl.Prios[x]})
+		for z, c := range pl.Insts {
+			if e.conflicts(i, c) && (pl.Prios[z] < pr || (pl.Prios[z] == pr && c < i)) {
+				return false
+			}
 		}
 	}
-	e.phaseWinners = e.phaseWinners[:0]
-	for _, i := range e.participating {
-		if !e.undecided[i] {
-			continue
-		}
-		best := true
-		for _, o := range e.ns.mine {
-			if o != i && e.undecided[o] &&
-				(e.prio[o] < e.prio[i] || (e.prio[o] == e.prio[i] && o < i)) {
-				best = false
-				break
-			}
-		}
-		for _, c := range e.nbr {
-			if !best {
-				break
-			}
-			if e.conflicts(i, c.inst) &&
-				(c.prio < e.prio[i] || (c.prio == e.prio[i] && c.inst < i)) {
-				best = false
-			}
-		}
-		if best {
-			e.phaseWinners = append(e.phaseWinners, i)
-		}
-	}
+	return true
 }
 
 // reqWin issues Luby round B: announce this phase's winners.
@@ -447,38 +472,48 @@ func (e *protoEngine) reqWin() dist.Req {
 	e.state = psLubyWin
 	if len(e.phaseWinners) > 0 {
 		wp := e.arena.nextWin()
-		wp.Insts = append(wp.Insts, e.phaseWinners...)
+		for _, x := range e.phaseWinners {
+			wp.Insts = append(wp.Insts, e.ns.mine[x])
+		}
 		return dist.Req{Op: dist.OpExchange, Payload: wp}
 	}
 	return dist.Req{Op: dist.OpExchange}
 }
 
-// lubyAbsorb consumes round B's inbox: commit own winners, exclude
-// dominated instances, and report whether any owned instance is still
-// undecided.
+// lubyAbsorb consumes round B's inbox, read in place: commit own
+// winners, exclude dominated instances, and report whether any owned
+// instance is still undecided.
 func (e *protoEngine) lubyAbsorb(in []dist.Message) (stillAny bool) {
-	for _, i := range e.phaseWinners {
-		e.undecided[i] = false
-		e.winners = append(e.winners, i)
+	for _, x := range e.phaseWinners {
+		e.undecided[x] = false
+		e.winners = append(e.winners, x)
 	}
-	e.allWinners = append(e.allWinners[:0], e.phaseWinners...)
-	for _, msg := range in {
-		e.allWinners = append(e.allWinners, msg.Payload.(*winPayload).Insts...)
-	}
-	for _, i := range e.participating {
-		if !e.undecided[i] {
-			continue
-		}
-		for _, w := range e.allWinners {
-			if e.conflicts(i, w) {
-				e.undecided[i] = false
-				break
-			}
+	for _, x := range e.participating {
+		if e.undecided[x] && e.dominated(e.ns.mine[x], in) {
+			e.undecided[x] = false
 		}
 	}
-	for _, i := range e.participating {
-		if e.undecided[i] {
+	for _, x := range e.participating {
+		if e.undecided[x] {
 			return true
+		}
+	}
+	return false
+}
+
+// dominated reports whether instance i conflicts with a winner of this
+// phase: an own one or one announced in round B's inbox.
+func (e *protoEngine) dominated(i int32, in []dist.Message) bool {
+	for _, x := range e.phaseWinners {
+		if e.conflicts(i, e.ns.mine[x]) {
+			return true
+		}
+	}
+	for _, msg := range in {
+		for _, w := range msg.Payload.(*winPayload).Insts {
+			if e.conflicts(i, w) {
+				return true
+			}
 		}
 	}
 	return false
@@ -489,11 +524,11 @@ func (e *protoEngine) lubyAbsorb(in []dist.Message) (stillAny bool) {
 // instances conflict), so winners has length ≤ 1 here.
 func (e *protoEngine) reqRaise() dist.Req {
 	rp := e.arena.nextRaise()
-	for _, i := range e.winners {
-		delta := e.ns.raiseLocal(e.m, e.dr, i)
-		e.ns.stack = append(e.ns.stack, i)
+	for _, x := range e.winners {
+		delta := e.ns.raiseLocal(e.m, e.dr, int(x))
+		e.ns.stack = append(e.ns.stack, x)
 		e.ns.raiseSteps = append(e.ns.raiseSteps, int(e.stepCounter))
-		rp.Insts = append(rp.Insts, i)
+		rp.Insts = append(rp.Insts, e.ns.mine[x])
 		rp.Deltas = append(rp.Deltas, delta)
 	}
 	e.state = psRaise
@@ -518,10 +553,9 @@ func (e *protoEngine) absorbRaises(in []dist.Message) {
 // observed identical step counts (the loop terminations are global
 // aggregates or fixed budgets), so they walk the same global step
 // sequence in reverse: one communication round per step. Feasibility is
-// tracked on the node's relevant edges from its own selections and the
-// neighbors' announcements.
+// tracked in ns.p2load on the node's relevant edges from its own
+// selections and the neighbors' announcements.
 func (e *protoEngine) beginPhase2() dist.Req {
-	e.p2load = map[int32]float64{}
 	e.p2stackTop = len(e.ns.stack) - 1
 	e.p2t = e.totalSteps
 	return e.p2Round()
@@ -538,13 +572,15 @@ func (e *protoEngine) p2Round() dist.Req {
 	}
 	announce := int32(-1)
 	if e.p2stackTop >= 0 && e.ns.raiseSteps[e.p2stackTop] == e.p2t {
-		i := e.ns.stack[e.p2stackTop]
+		x := int(e.ns.stack[e.p2stackTop])
 		e.p2stackTop--
-		d := e.m.Insts[i]
+		i := e.ns.mine[x]
+		h := e.m.Insts[i].Height
+		load := e.ns.p2load
 		fits := !e.p2demandUsed
 		if fits {
-			for _, edge := range e.m.Paths.Row(i) {
-				if e.p2load[edge]+d.Height > e.m.Cap[edge]+lp.Tol {
+			for _, s := range e.ns.pathSlots(x) {
+				if load[s]+h > e.m.Cap[e.ns.edges[s]]+lp.Tol {
 					fits = false
 					break
 				}
@@ -552,8 +588,8 @@ func (e *protoEngine) p2Round() dist.Req {
 		}
 		if fits {
 			e.p2demandUsed = true
-			for _, edge := range e.m.Paths.Row(i) {
-				e.p2load[edge] += d.Height
+			for _, s := range e.ns.pathSlots(x) {
+				load[s] += h
 			}
 			e.ns.selected = append(e.ns.selected, i)
 			announce = i
@@ -569,14 +605,14 @@ func (e *protoEngine) p2Round() dist.Req {
 }
 
 // absorbSelections folds the peers' phase-2 announcements into the load
-// of this node's relevant edges.
+// of this node's relevant edges; a peer's edge off the row is skipped.
 func (e *protoEngine) absorbSelections(in []dist.Message) {
 	for _, msg := range in {
 		for _, inst := range msg.Payload.(*selPayload).Insts {
 			h := e.m.Insts[inst].Height
 			for _, edge := range e.m.Paths.Row(inst) {
-				if e.ns.relevant[edge] {
-					e.p2load[edge] += h
+				if s, ok := e.ns.slot(edge); ok {
+					e.ns.p2load[s] += h
 				}
 			}
 		}

@@ -118,23 +118,30 @@ func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 // assembleDistributed merges per-node state into a Result: global duals are
 // reconstructed (and their per-edge copies cross-checked), the slackness
 // certificate verified, and the union of selections collected.
+//
+// β is merged by walking each processor's relevant-edge row in processor
+// order: an edge takes the copy of the first processor that has it, and
+// every later copy must agree within 1e-6. Whoever raises an edge shares
+// its network with every processor that has the edge on a path, so all
+// of them receive the raise in the step it happens; one step's winners
+// are independent and so raise disjoint edges. Every copy of an edge
+// therefore receives the same increments in the same order, and an edge
+// no raise touched is zero in every copy.
 func assembleDistributed(name string, m *model.Model, rule lp.Rule, sched Schedule, nodes []*nodeState, stats dist.Stats, bound float64) (*DistributedResult, error) {
 	duals := lp.NewDuals(m)
-	betaSeen := make(map[int32]float64)
+	seen := make([]bool, len(duals.Beta))
 	for u, ns := range nodes {
 		if ns == nil {
 			continue
 		}
 		duals.Alpha[u] = ns.alpha
-		//schedlint:ordered keyed writes: each edge e is first-seen exactly once and later copies are verified equal, so the merged β is order-independent
-		for e, v := range ns.beta {
-			if prev, ok := betaSeen[e]; ok {
-				if math.Abs(prev-v) > 1e-6*(1+math.Abs(prev)) {
-					return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", e, prev, v)
-				}
-			} else {
-				betaSeen[e] = v
+		for s, e := range ns.edges {
+			v := ns.beta[s]
+			if !seen[e] {
+				seen[e] = true
 				duals.Beta[e] = v
+			} else if prev := duals.Beta[e]; math.Abs(prev-v) > 1e-6*(1+math.Abs(prev)) {
+				return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", e, prev, v)
 			}
 		}
 	}

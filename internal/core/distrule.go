@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"treesched/internal/lp"
 	"treesched/internal/model"
 )
@@ -18,9 +20,9 @@ import (
 // a node shares a resource with that node, so local β copies never drift
 // (cross-checked again in assembleDistributed).
 type distRule interface {
-	// lhs evaluates the dual constraint LHS of owned instance i from local
-	// state; matches lp.Rule.LHS.
-	lhs(m *model.Model, ns *nodeState, i int32) float64
+	// lhs evaluates the dual constraint LHS of the owned instance at
+	// position x of ns.mine from local state; matches lp.Rule.LHS.
+	lhs(m *model.Model, ns *nodeState, x int) float64
 	// delta returns the raise amount for instance i given slack s and
 	// critical-set size k; matches lp.Rule.Raise's α increment.
 	delta(m *model.Model, i int32, s, k float64) float64
@@ -46,10 +48,10 @@ func localRule(rule lp.Rule) distRule {
 // unitLocal mirrors lp.Unit: LHS = α + Σβ, δ = s/(k+1), β += δ.
 type unitLocal struct{}
 
-func (unitLocal) lhs(m *model.Model, ns *nodeState, i int32) float64 {
+func (unitLocal) lhs(m *model.Model, ns *nodeState, x int) float64 {
 	sum := 0.0
-	for _, e := range m.Paths.Row(i) {
-		sum += ns.beta[e]
+	for _, s := range ns.pathSlots(x) {
+		sum += ns.beta[s]
 	}
 	return ns.alpha + sum
 }
@@ -66,12 +68,12 @@ func (unitLocal) betaInc(m *model.Model, e int32, k, delta float64) float64 {
 // β += 2kδ.
 type narrowLocal struct{}
 
-func (narrowLocal) lhs(m *model.Model, ns *nodeState, i int32) float64 {
+func (narrowLocal) lhs(m *model.Model, ns *nodeState, x int) float64 {
 	sum := 0.0
-	for _, e := range m.Paths.Row(i) {
-		sum += ns.beta[e]
+	for _, s := range ns.pathSlots(x) {
+		sum += ns.beta[s]
 	}
-	return ns.alpha + m.Insts[i].Height*sum
+	return ns.alpha + m.Insts[ns.mine[x]].Height*sum
 }
 
 func (narrowLocal) delta(m *model.Model, i int32, s, k float64) float64 {
@@ -87,12 +89,12 @@ func (narrowLocal) betaInc(m *model.Model, e int32, k, delta float64) float64 {
 // β += 2k·c(e)·δ.
 type capLocal struct{}
 
-func (capLocal) lhs(m *model.Model, ns *nodeState, i int32) float64 {
+func (capLocal) lhs(m *model.Model, ns *nodeState, x int) float64 {
 	sum := 0.0
-	for _, e := range m.Paths.Row(i) {
-		sum += ns.beta[e] / m.Cap[e]
+	for _, s := range ns.pathSlots(x) {
+		sum += ns.beta[s] / m.Cap[ns.edges[s]]
 	}
-	return ns.alpha + m.Insts[i].Height*sum
+	return ns.alpha + m.Insts[ns.mine[x]].Height*sum
 }
 
 func (capLocal) delta(m *model.Model, i int32, s, k float64) float64 {
@@ -104,35 +106,42 @@ func (capLocal) betaInc(m *model.Model, e int32, k, delta float64) float64 {
 	return 2 * k * m.Cap[e] * delta
 }
 
-// nodeState is the per-processor private state of the protocol.
+// nodeState is the per-processor private state of the protocol, laid out
+// densely by local position: an owned instance by its position x in mine,
+// a relevant edge (one on any owned instance's path) by its slot in
+// edges. The β copies and the phase-2 load are parallel to edges, and
+// each owned path is kept as its slots in path order, so the dual
+// constraint sums read no hash and a neighbor's edge is found by binary
+// search in the sorted row.
 type nodeState struct {
-	mine       []int32           // instance ids owned by this processor
-	alpha      float64           // α of the owned demand
-	beta       map[int32]float64 // local copies of β for relevant edges
-	relevant   map[int32]bool    // edges on any owned instance's path
-	stack      []int32           // raised instances, in raise order
-	raiseSteps []int             // global step number of each raise (parallel to stack)
-	selected   []int32           // phase-2 output
+	mine       []int32   // instance ids owned by this processor
+	alpha      float64   // α of the owned demand
+	edges      []int32   // relevant edges, ascending
+	beta       []float64 // local β copies, parallel to edges
+	p2load     []float64 // phase-2 load, parallel to edges
+	pathOff    []int32   // mine[x]'s path is slots[pathOff[x]:pathOff[x+1]]
+	slots      []int32   // owned paths as slots of edges, in path order
+	stack      []int32   // positions in mine of raised instances, in raise order
+	raiseSteps []int     // global step number of each raise (parallel to stack)
+	selected   []int32   // phase-2 output
 }
 
-func newNodeState(m *model.Model, u int) *nodeState {
-	ns := &nodeState{
-		mine:     m.InstsOf.Row(int32(u)),
-		beta:     map[int32]float64{},
-		relevant: map[int32]bool{},
-	}
-	for _, i := range ns.mine {
-		for _, e := range m.Paths.Row(i) {
-			ns.relevant[e] = true
-		}
-	}
-	return ns
+// pathSlots returns the slots of owned instance mine[x]'s path, in path
+// order.
+func (ns *nodeState) pathSlots(x int) []int32 {
+	return ns.slots[ns.pathOff[x]:ns.pathOff[x+1]]
 }
 
-// raiseLocal raises owned instance i tight against local state and
+// slot returns edge e's slot in the relevant row, if e is relevant.
+func (ns *nodeState) slot(e int32) (int, bool) {
+	return slices.BinarySearch(ns.edges, e)
+}
+
+// raiseLocal raises owned instance mine[x] tight against local state and
 // returns δ; mirrors lp.Rule.Raise.
-func (ns *nodeState) raiseLocal(m *model.Model, dr distRule, i int32) float64 {
-	s := m.Insts[i].Profit - dr.lhs(m, ns, i)
+func (ns *nodeState) raiseLocal(m *model.Model, dr distRule, x int) float64 {
+	i := ns.mine[x]
+	s := m.Insts[i].Profit - dr.lhs(m, ns, x)
 	if s <= lp.Tol {
 		return 0
 	}
@@ -155,8 +164,9 @@ func (ns *nodeState) applyRemoteRaise(m *model.Model, dr distRule, i int32, delt
 	}
 }
 
+// applyBeta adds inc to the β copy of edge e when e is relevant.
 func (ns *nodeState) applyBeta(e int32, inc float64) {
-	if ns.relevant[e] {
-		ns.beta[e] += inc
+	if s, ok := ns.slot(e); ok {
+		ns.beta[s] += inc
 	}
 }

@@ -85,9 +85,10 @@ type Stats struct {
 }
 
 // Run executes one Proc per processor of the communication graph adj
-// (adjacency lists over processor ids, copied and sorted, so delivery
-// order never depends on how the caller ordered neighbors) and returns
-// the measured network cost.
+// (adjacency lists over processor ids, read in ascending order, so
+// delivery order never depends on how the caller ordered neighbors;
+// ascending rows are used without a copy, so adj must not change while
+// Run executes) and returns the measured network cost.
 //
 // workers selects the engine. workers ≥ 0 runs the sharded worker pool
 // on min(workers, n) goroutines, 0 meaning GOMAXPROCS. workers < 0 runs

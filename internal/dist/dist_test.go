@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -259,7 +260,7 @@ func TestEdgeTopologies(t *testing.T) {
 
 // TestUnsortedAdjacencyIsNormalized: the transport must deliver in
 // ascending sender order even when the caller's adjacency lists are not
-// sorted (Problem.CommGraph emits access-order lists).
+// sorted.
 func TestUnsortedAdjacencyIsNormalized(t *testing.T) {
 	adj := [][]int32{{2, 1}, {0, 2}, {1, 0}}
 	runBlocking(adj, nil, func(api *blockingAPI) {
@@ -272,4 +273,28 @@ func TestUnsortedAdjacencyIsNormalized(t *testing.T) {
 			prev = m.From
 		}
 	})
+}
+
+// TestAscendingAdjacencyIsNotCopied: rows that already ascend, as
+// Problem.CommGraph builds them, are used as given; only a row out of
+// order is copied and sorted, and the caller's lists are never modified.
+func TestAscendingAdjacencyIsNotCopied(t *testing.T) {
+	adj := [][]int32{{1, 2}, {0, 2}, {0, 1}}
+	tr := newLocalTransport(adj)
+	if &tr.adj[0] != &adj[0] {
+		t.Error("an all-ascending graph was copied")
+	}
+	mixed := [][]int32{{2, 1}, {0, 2}, {1, 0}}
+	tr = newLocalTransport(mixed)
+	if &tr.adj[1][0] != &mixed[1][0] {
+		t.Error("the ascending row 1 was copied")
+	}
+	for u, want := range [][]int32{{1, 2}, {0, 2}, {0, 1}} {
+		if !slices.Equal(tr.adj[u], want) {
+			t.Errorf("row %d delivers from %v, want %v", u, tr.adj[u], want)
+		}
+	}
+	if !slices.Equal(mixed[0], []int32{2, 1}) || !slices.Equal(mixed[2], []int32{1, 0}) {
+		t.Errorf("the caller's rows were modified: %v", mixed)
+	}
 }

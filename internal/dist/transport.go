@@ -32,16 +32,25 @@ type localTransport struct {
 }
 
 // newLocalTransport builds the transport for a communication graph given
-// as adjacency lists over processor ids. The lists are copied and sorted
-// so delivery order (and thus the protocols' executions) is independent
-// of how the caller ordered neighbors.
+// as adjacency lists over processor ids. Delivery order (and thus the
+// protocols' executions) must not depend on how the caller ordered
+// neighbors, so every row is read in ascending order: a row that already
+// is ascending, as Problem.CommGraph builds them, is used as given,
+// without a copy; any other row is copied and sorted. The caller's lists
+// are never modified, and the transport only reads them.
 func newLocalTransport(adj [][]int32) *localTransport {
-	sorted := make([][]int32, len(adj))
+	var sorted [][]int32 // nil while every row seen is ascending
 	for u, nbrs := range adj {
-		s := make([]int32, len(nbrs))
-		copy(s, nbrs)
-		slices.Sort(s)
-		sorted[u] = s
+		if slices.IsSorted(nbrs) {
+			continue
+		}
+		if sorted == nil {
+			sorted = slices.Clone(adj)
+		}
+		sorted[u] = slices.Sorted(slices.Values(nbrs))
+	}
+	if sorted == nil {
+		return &localTransport{adj: adj}
 	}
 	return &localTransport{adj: sorted}
 }

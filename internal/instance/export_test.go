@@ -23,3 +23,7 @@ func ReflectMarshal(p *Problem) ([]byte, error) {
 // DecodeDemands is the demands parser, whose preallocation the codec
 // tests bound.
 var DecodeDemands = decodeDemands
+
+// SmallTreeProblem is the 2-tree, 3-demand problem of the in-package
+// tests.
+var SmallTreeProblem = smallTreeProblem

@@ -10,6 +10,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"treesched/internal/graph"
 )
@@ -389,32 +390,69 @@ func (p *Problem) UnitHeight() bool {
 }
 
 // CommGraph builds the processor communication graph (§2): processors are
-// adjacent iff their access sets intersect. Returned as adjacency lists
-// over demand/processor ids.
+// adjacent iff their access sets intersect. It returns adjacency lists
+// over demand/processor ids, each ascending, without the processor itself
+// and without duplicates. The rows are windows into one backing array,
+// capacity-limited so an append to one cannot overwrite the next.
+//
+// Degrees are counted first; then every processor j, in ascending order,
+// is written into the rows of its neighbors, which leaves each row
+// ascending with no sort.
 func (p *Problem) CommGraph() [][]int32 {
-	r := p.NumNetworks()
-	byNet := make([][]int32, r)
+	m := len(p.Demands)
+	// Network q's processors, ascending, are byNet[netOff[q]:netOff[q+1]].
+	netOff := make([]int32, p.NumNetworks()+1)
 	for _, d := range p.Demands {
 		for _, q := range d.Access {
-			byNet[q] = append(byNet[q], int32(d.ID))
+			netOff[q+1]++
 		}
 	}
-	m := len(p.Demands)
+	for q := 1; q < len(netOff); q++ {
+		netOff[q] += netOff[q-1]
+	}
+	byNet := make([]int32, netOff[len(netOff)-1])
+	fill := slices.Clone(netOff)
+	for _, d := range p.Demands {
+		for _, q := range d.Access {
+			byNet[fill[q]] = int32(d.ID)
+			fill[q]++
+		}
+	}
 	seen := make([]int32, m)
 	for i := range seen {
 		seen[i] = -1
 	}
-	adj := make([][]int32, m)
-	for i := 0; i < m; i++ {
-		seen[i] = int32(i) // exclude self
+	var row []int32
+	// neighbors lists processor i's neighbors into row, in access order,
+	// marking each in seen with mark; every call needs a fresh mark.
+	neighbors := func(i int, mark int32) []int32 {
+		row = row[:0]
+		seen[i] = mark // exclude self
 		for _, q := range p.Demands[i].Access {
-			for _, j := range byNet[q] {
-				if seen[j] != int32(i) {
-					seen[j] = int32(i)
-					adj[i] = append(adj[i], j)
+			for _, j := range byNet[netOff[q]:netOff[q+1]] {
+				if seen[j] != mark {
+					seen[j] = mark
+					row = append(row, j)
 				}
 			}
 		}
+		return row
+	}
+	off := make([]int, m+1)
+	for i := range m {
+		off[i+1] = off[i] + len(neighbors(i, int32(i)))
+	}
+	flat := make([]int32, off[m])
+	cursor := slices.Clone(off)
+	for j := range m {
+		for _, i := range neighbors(j, int32(m+j)) {
+			flat[cursor[i]] = int32(j)
+			cursor[i]++
+		}
+	}
+	adj := make([][]int32, m)
+	for i := range adj {
+		adj[i] = flat[off[i]:off[i+1]:off[i+1]]
 	}
 	return adj
 }

@@ -169,29 +169,6 @@ func TestLineOverlap(t *testing.T) {
 	}
 }
 
-func TestRangesAndCommGraph(t *testing.T) {
-	p := smallTreeProblem(t)
-	pmin, pmax := p.ProfitRange()
-	if pmin != 1 || pmax != 3 {
-		t.Fatalf("profit range (%g,%g)", pmin, pmax)
-	}
-	hmin, hmax := p.HeightRange()
-	if hmin != 1 || hmax != 1 || !p.UnitHeight() {
-		t.Fatal("height range on unit problem")
-	}
-	adj := p.CommGraph()
-	// Demand 0 shares tree 0 with demand 1 and tree 1 with demand 2.
-	if len(adj[0]) != 2 {
-		t.Fatalf("processor 0 neighbors: %v", adj[0])
-	}
-	// Demands 1 and 2 share no resource.
-	for _, j := range adj[1] {
-		if j == 2 {
-			t.Fatal("processors 1 and 2 share no resource but are adjacent")
-		}
-	}
-}
-
 func TestCapacityLookup(t *testing.T) {
 	p := smallLineProblem(t)
 	if p.Capacity(5) != 1 {
