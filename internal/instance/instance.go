@@ -10,6 +10,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"treesched/internal/graph"
@@ -159,6 +160,7 @@ func (p *Problem) Validate() error {
 			}
 		}
 	}
+	total := 0.0
 	for i, d := range p.Demands {
 		if d.ID != i {
 			return fmt.Errorf("instance: demand %d has ID %d (IDs must be 0..m-1 in order)", i, d.ID)
@@ -166,6 +168,12 @@ func (p *Problem) Validate() error {
 		if err := p.ValidateDemand(i, d); err != nil {
 			return err
 		}
+		total += d.Profit
+	}
+	// Every profit is finite, but their sum need not be, and a solution's
+	// profit is such a sum.
+	if math.IsInf(total, 0) {
+		return errors.New("instance: the total profit of the demands overflows float64")
 	}
 	return nil
 }

@@ -71,6 +71,10 @@ func TestValidateRejections(t *testing.T) {
 		"capacity rows": func(p *Problem) {
 			p.Capacities = [][]float64{{1, 1, 1, 1, 1}, {1, 1, 1, 1, 1}}
 		},
+		"total profit overflows": func(p *Problem) {
+			p.Demands[0].Profit = 1.5e308
+			p.Demands = append(p.Demands, Demand{ID: 1, U: 1, V: 2, Profit: 1.5e308, Height: 1, Access: []int{0}})
+		},
 	}
 	for name, mutate := range mutations {
 		p := base()

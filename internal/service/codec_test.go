@@ -120,7 +120,9 @@ func FuzzDecodeRequest(f *testing.F) {
 // TestDecodeFallbackCounter: every gen family's encoding/json body takes
 // the fast path on /solve and on a /batch line, so the fallback counter
 // stays 0; one hostile body moves it to 1 in /metrics and
-// /metrics.prom.
+// /metrics.prom. The counter counts decodes: the hostile body's problem
+// was solved above, so its first sight is a result hit that stores the
+// answer, and its repeats are body hits, never decoded.
 func TestDecodeFallbackCounter(t *testing.T) {
 	e, srv := newTestServer(t)
 	bodies := genBodies(t, 40)
@@ -145,6 +147,20 @@ func TestDecodeFallbackCounter(t *testing.T) {
 	}
 	if got := flatten(scrapeProm(t, srv.URL))["sched_request_decode_fallback_total"]; got != 1 {
 		t.Fatalf("sched_request_decode_fallback_total = %g, want 1", got)
+	}
+
+	for range 2 {
+		if status, resp := postJSON(t, srv.URL+"/solve", hostile); status != http.StatusOK {
+			t.Fatalf("case-folded key, repeated: status %d: %s", status, resp)
+		}
+	}
+	if s := e.Metrics(); s.RequestDecodeFallbacks != 1 || s.ResultBodyHits != 2 {
+		t.Fatalf("after three sights of the hostile body: %d fallbacks, %d body hits; want 1 and 2", s.RequestDecodeFallbacks, s.ResultBodyHits)
+	}
+	fams := flatten(scrapeProm(t, srv.URL))
+	if fams["sched_request_decode_fallback_total"] != 1 || fams["sched_result_cache_body_hits_total"] != 2 {
+		t.Fatalf("exposition: %g fallbacks, %g body hits; want 1 and 2",
+			fams["sched_request_decode_fallback_total"], fams["sched_result_cache_body_hits_total"])
 	}
 }
 
@@ -259,11 +275,11 @@ func TestReadBody(t *testing.T) {
 }
 
 // memoBody is a memo-hit-sized /solve body: a 200-demand tree problem.
-func memoBody(b *testing.B) ([]byte, *instance.Problem) {
+func memoBody(tb testing.TB) ([]byte, *instance.Problem) {
 	p := gen.TreeProblem(gen.TreeConfig{N: 48, Trees: 3, Demands: 200, Unit: true, AccessProb: 0.5}, rand.New(rand.NewSource(1)))
 	body, err := json.Marshal(Request{Algo: "tree-unit", Problem: p})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body, p
 }

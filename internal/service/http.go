@@ -2,11 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 
+	"treesched/internal/obs"
 	"treesched/internal/online"
 	"treesched/internal/scenario"
 )
@@ -83,12 +89,46 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// encodeJSON is the one encoder of the JSON endpoints' bodies: it
+// appends v to buf with encoding/json, HTML escaping off, one document
+// and a newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
+// jsonBufs recycles writeJSON's buffers; one grown past maxPooledBody
+// is left to the collector.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before it writes the status, so a value encoding
+// refuses (a non-finite float) becomes one 500 JSON error, never a
+// status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	writeEncoded(w, status, buf, encodeJSON(buf, v))
+	if buf.Cap() <= maxPooledBody {
+		jsonBufs.Put(buf)
+	}
+}
+
+// writeEncoded writes status and buf, which encodeJSON filled, or one
+// 500 JSON error in its place when encodeJSON failed with err.
+func writeEncoded(w http.ResponseWriter, status int, buf *bytes.Buffer, err error) {
+	if err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		encodeJSON(buf, errorBody{Error: fmt.Sprintf("encode response: %v", err)}) // nolint:errcheck — a string always encodes
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+func writeBody(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v) // nolint:errcheck — the client is gone if this fails
+	w.Write(data) // nolint:errcheck — the client is gone if this fails
 }
 
 func errStatus(err error) int {
@@ -98,9 +138,27 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// handleSolve reads the body once, into a pooled buffer, and decodes
-// it whole: bytes after the request object are an error, as they are
-// on a /batch line.
+// maxBodyEntryBytes caps the response bytes one body-cache entry keeps;
+// a larger answer is served by the full path on every sight.
+const maxBodyEntryBytes = 64 << 10
+
+// bodyEntry is what the body cache keeps for a /solve body whose answer
+// came from the result cache: that answer's result key, the algorithm
+// the body names, and the response bytes written for it. A response is
+// a function of its result key, so the bytes stay right for as long as
+// the key stays in the result cache.
+type bodyEntry struct {
+	key  string
+	algo string
+	resp []byte
+}
+
+// handleSolve reads the body once, into a pooled buffer. A body the
+// result cache has answered before is answered again from its entry in
+// the body cache, keyed on the SHA-256 of its exact bytes. Any other
+// body is decoded whole (bytes after the request object are an error,
+// as they are on a /batch line) and solved; when the result cache
+// answers it, the bytes written become its entry.
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
 	bp := bodyPool.Get().(*[]byte)
 	defer func() {
@@ -110,20 +168,64 @@ func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}()
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, *bp)
 	*bp = body
-	var req Request
-	if err == nil {
-		req, err = e.decode(body)
-	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
 		return
 	}
-	resp, err := e.Solve(r.Context(), &req)
+	digest := sha256.Sum256(body)
+	if data, ok, err := e.solveRepeat(r.Context(), &digest); ok {
+		if err != nil {
+			writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+		} else {
+			writeBody(w, http.StatusOK, data)
+		}
+		return
+	}
+	req, err := e.decode(body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
+		return
+	}
+	resp, hitKey, err := e.solveMemo(r.Context(), &req)
 	if err != nil {
 		writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if hitKey == "" {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	// A result hit: encode once, into bytes the body cache keeps, and
+	// write those.
+	var buf bytes.Buffer
+	err = encodeJSON(&buf, resp)
+	if err == nil && buf.Len() <= maxBodyEntryBytes {
+		e.bodies.add(string(digest[:]), bodyEntry{key: hitKey, algo: req.Algo, resp: buf.Bytes()})
+	}
+	writeEncoded(w, http.StatusOK, &buf, err)
+}
+
+// solveRepeat answers a body from its body-cache entry, once the result
+// cache confirms the entry's key, and counts the request as the result
+// hit it is. It reports false, having counted nothing, when the body has
+// no entry or its answer has left the result cache; the full path then
+// serves it.
+func (e *Engine) solveRepeat(ctx context.Context, digest *[sha256.Size]byte) (data []byte, ok bool, err error) {
+	ent, ok := e.bodies.get(string(digest[:]))
+	if !ok {
+		return nil, false, nil
+	}
+	if _, ok := e.results.get(ent.key); !ok {
+		return nil, false, nil
+	}
+	err = e.account(ctx, func(rq *obs.Req) error {
+		rq.SetPhase(obs.PhaseCacheCheck)
+		e.noteAlgo(rq, ent.algo)
+		e.noteResultHit(rq)
+		e.met.bodyHits.Inc()
+		return nil
+	})
+	return ent.resp, true, err
 }
 
 // handleBatch streams NDJSON: each input line is one Request, each
@@ -231,10 +333,15 @@ func sessionStatus(err error) int {
 	return errStatus(err)
 }
 
+// handleSessionOpen decodes the body whole: bytes after the request
+// object are an error, as they are on /solve.
 func (e *Engine) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,6 +26,7 @@ import (
 // strictServer wraps httptest.Server with a captured error log.
 type strictServer struct {
 	*httptest.Server
+	e   *Engine
 	mu  sync.Mutex
 	buf bytes.Buffer
 }
@@ -32,7 +34,7 @@ type strictServer struct {
 func newStrictServer(t *testing.T) *strictServer {
 	t.Helper()
 	e := New(Config{Workers: 2})
-	s := &strictServer{}
+	s := &strictServer{e: e}
 	s.Server = httptest.NewUnstartedServer(e.Handler())
 	s.Server.Config.ErrorLog = log.New(&syncWriter{mu: &s.mu, buf: &s.buf}, "", 0)
 	s.Server.Start()
@@ -239,7 +241,8 @@ func TestBatchErrorPathsStayInBand(t *testing.T) {
 // TestSolveErrorSingleDocument: /solve error bodies are exactly one
 // JSON document (regression guard against an errorBody followed by a
 // second partial write). Bytes after the request object are an error,
-// as on a /batch line, not a request /solve half-reads.
+// as on a /batch line, not a request /solve half-reads; the same holds
+// for POST /session, which opens no session for such a body.
 func TestSolveErrorSingleDocument(t *testing.T) {
 	srv := newStrictServer(t)
 	for _, body := range []string{
@@ -252,4 +255,71 @@ func TestSolveErrorSingleDocument(t *testing.T) {
 		status, resp := postJSON(t, srv.URL+"/solve", body)
 		wantJSONError(t, body[:min(len(body), 40)], status, http.StatusBadRequest, resp)
 	}
+	for _, body := range []string{
+		`{`,
+		`{"algo":"tree-unit","scenario":"caterpillar-backbone"} trailing garbage {`,
+		`{"algo":"tree-unit","scenario":"caterpillar-backbone"}{"algo":"greedy"}`,
+	} {
+		status, resp := postJSON(t, srv.URL+"/session", body)
+		wantJSONError(t, "session "+body[:min(len(body), 40)], status, http.StatusBadRequest, resp)
+	}
+	if n := srv.e.Metrics().SessionsOpened; n != 0 {
+		t.Fatalf("%d sessions opened by malformed bodies", n)
+	}
+}
+
+// TestNonFiniteAnswerIsAnError: JSON carries no infinity, so a problem
+// whose total profit overflows float64 (refused when decoded), or whose
+// dual does (refused once solved), gets one JSON error on every route —
+// /solve on every send, /batch in band, POST /session or the session's
+// schedule — and leaves no entry in the result or body cache. A value
+// the encoder refuses anyway is a 500 with one JSON error, never a
+// status over an empty body.
+func TestNonFiniteAnswerIsAnError(t *testing.T) {
+	srv := newStrictServer(t)
+	tree := `{"kind":"tree","num_vertices":3,"tree_edges":[[[1,0],[2,1]]],"demands":[`
+	sumOverflows := tree + `{"id":0,"v":1,"profit":1.5e308,"height":1,"access":[0]},{"id":1,"u":1,"v":2,"profit":1.5e308,"height":1,"access":[0]}]}`
+	dualOverflows := tree + `{"id":0,"v":1,"profit":1.7e308,"height":1,"access":[0]}]}`
+
+	for _, algo := range []string{"greedy", "tree-unit", "sequential", "exact"} {
+		body := fmt.Sprintf(`{"algo":%q,"problem":%s}`, algo, sumOverflows)
+		for send := 1; send <= 2; send++ {
+			status, resp := postJSON(t, srv.URL+"/solve", body)
+			wantJSONError(t, fmt.Sprintf("%s send %d", algo, send), status, http.StatusBadRequest, resp)
+		}
+	}
+	for send := 1; send <= 2; send++ {
+		status, resp := postJSON(t, srv.URL+"/solve", `{"algo":"tree-unit","problem":`+dualOverflows+`}`)
+		wantJSONError(t, fmt.Sprintf("dual overflow send %d", send), status, http.StatusBadRequest, resp)
+	}
+
+	status, resp := postJSON(t, srv.URL+"/batch",
+		`{"algo":"greedy","problem":`+sumOverflows+`}`+"\n"+`{"algo":"tree-unit","problem":`+dualOverflows+`}`+"\n")
+	lines := bytes.Split(bytes.TrimSuffix(resp, []byte("\n")), []byte("\n"))
+	if status != http.StatusOK || len(lines) != 2 {
+		t.Fatalf("batch: status %d, %d lines: %s", status, len(lines), resp)
+	}
+	for i, line := range lines {
+		wantJSONError(t, fmt.Sprintf("batch line %d", i), http.StatusOK, http.StatusOK, line)
+	}
+
+	status, resp = postJSON(t, srv.URL+"/session", `{"algo":"tree-unit","network":`+sumOverflows+`}`)
+	wantJSONError(t, "session open", status, http.StatusBadRequest, resp)
+	status, resp = postJSON(t, srv.URL+"/session", `{"algo":"tree-unit","network":`+dualOverflows+`}`)
+	var info SessionInfo
+	if err := json.Unmarshal(resp, &info); status != http.StatusOK || err != nil {
+		t.Fatalf("open session: status %d: %s", status, resp)
+	}
+	for read := 1; read <= 2; read++ {
+		status, resp := getStatus(t, srv.URL+"/session/"+info.SessionID+"/schedule")
+		wantJSONError(t, fmt.Sprintf("schedule read %d", read), status, http.StatusBadRequest, resp)
+	}
+
+	if r, b := srv.e.results.len(), srv.e.bodies.len(); r != 0 || b != 0 {
+		t.Fatalf("%d result-cache and %d body-cache entries after errors only", r, b)
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	wantJSONError(t, "unencodable value", rec.Code, http.StatusInternalServerError, rec.Body.Bytes())
 }

@@ -23,6 +23,7 @@ type metrics struct {
 	errors         *obs.Counter
 	resultHits     *obs.Counter
 	resultMisses   *obs.Counter
+	bodyHits       *obs.Counter // the resultHits a repeated /solve body's stored bytes answered (handleSolve)
 	compiledHits   *obs.Counter
 	compiledMisses *obs.Counter
 	solveNanos     *obs.Counter // total wall time spent in actual solves
@@ -32,8 +33,8 @@ type metrics struct {
 	// compilesCoalesced counts compilations avoided the same way.
 	solvesCoalesced   *obs.Counter
 	compilesCoalesced *obs.Counter
-	// decodeFallbacks counts request bodies the fast wire codec declined,
-	// which encoding/json then decoded (see decodeRequest).
+	// decodeFallbacks counts decoded request bodies the fast wire codec
+	// declined, which encoding/json then decoded (see decodeRequest).
 	decodeFallbacks *obs.Counter
 
 	sessionsOpened      *obs.Counter
@@ -65,6 +66,7 @@ func newMetrics(algoNames []string) *metrics {
 		errors:         reg.Counter("sched_errors_total", "Solve requests that returned an error."),
 		resultHits:     reg.Counter("sched_result_cache_hits_total", "Solve requests served from the memoized result cache."),
 		resultMisses:   reg.Counter("sched_result_cache_misses_total", "Solve requests that missed the memoized result cache (they then coalesce onto an in-flight solve or execute one)."),
+		bodyHits:       reg.Counter("sched_result_cache_body_hits_total", "Result-cache hits answered from the stored response bytes of a repeated /solve body, with no decode, hash or encode (a subset of sched_result_cache_hits_total)."),
 		compiledHits:   reg.Counter("sched_compiled_cache_hits_total", "Solves that reused a cached compiled model."),
 		compiledMisses: reg.Counter("sched_compiled_cache_misses_total", "Solves whose compiled-cache lookup missed, including coalesced followers and lost-race rechecks; sched_compiles_coalesced_total counts the waits."),
 		solveNanos:     reg.Counter("sched_solve_nanos_total", "Total wall nanoseconds spent executing solvers."),
@@ -72,7 +74,7 @@ func newMetrics(algoNames []string) *metrics {
 
 		solvesCoalesced:   reg.Counter("sched_solves_coalesced_total", "Requests served by waiting on another request's identical in-flight solve (singleflight followers)."),
 		compilesCoalesced: reg.Counter("sched_compiles_coalesced_total", "Compilations avoided by waiting on another request's in-flight compile of the same problem."),
-		decodeFallbacks:   reg.Counter("sched_request_decode_fallback_total", "Request bodies (/solve bodies and /batch lines) outside the fast wire codec's subset, decoded by the encoding/json fallback."),
+		decodeFallbacks:   reg.Counter("sched_request_decode_fallback_total", "Decoded request bodies (/solve bodies and /batch lines) outside the fast wire codec's subset, which the encoding/json fallback decoded; a /solve body answered from its stored bytes is not decoded."),
 
 		sessionsOpened:      reg.Counter("sched_sessions_opened_total", "Dynamic sessions opened."),
 		sessionsClosed:      reg.Counter("sched_sessions_closed_total", "Dynamic sessions closed by clients."),
@@ -113,6 +115,7 @@ type MetricsSnapshot struct {
 	Errors         int64 `json:"errors"`
 	ResultHits     int64 `json:"result_cache_hits"`
 	ResultMisses   int64 `json:"result_cache_misses"`
+	ResultBodyHits int64 `json:"result_cache_body_hits"` // the ResultHits a repeated /solve body's stored bytes answered, never decoded, hashed or encoded
 	CompiledHits   int64 `json:"compiled_cache_hits"`
 	CompiledMisses int64 `json:"compiled_cache_misses"`
 	// SolvesCoalesced counts requests served as singleflight followers:
@@ -122,10 +125,11 @@ type MetricsSnapshot struct {
 	// one in-flight compile of their common problem).
 	SolvesCoalesced   int64 `json:"solves_coalesced"`
 	CompilesCoalesced int64 `json:"compiles_coalesced"`
-	// RequestDecodeFallbacks counts /solve bodies and /batch lines the
-	// fast wire codec declined and encoding/json decoded: scenario
-	// requests, and inline ones a client wrote outside the subset
-	// encoding/json itself emits.
+	// RequestDecodeFallbacks counts decoded /solve bodies and /batch
+	// lines the fast wire codec declined and encoding/json decoded:
+	// scenario requests, and inline ones a client wrote outside the
+	// subset encoding/json itself emits. A /solve body answered from its
+	// stored bytes is not decoded, so it never counts here.
 	RequestDecodeFallbacks int64 `json:"request_decode_fallbacks"`
 	// CacheShards is the effective lock-shard count of the compiled and
 	// result caches (Config.CacheShards after GOMAXPROCS derivation).
@@ -217,6 +221,7 @@ func (m *metrics) snapshot(compiledEntries, resultEntries, sessionsOpen int) Met
 		Errors:                 m.errors.Load(),
 		ResultHits:             m.resultHits.Load(),
 		ResultMisses:           m.resultMisses.Load(),
+		ResultBodyHits:         m.bodyHits.Load(),
 		CompiledHits:           m.compiledHits.Load(),
 		CompiledMisses:         m.compiledMisses.Load(),
 		SolvesCoalesced:        m.solvesCoalesced.Load(),

@@ -54,10 +54,12 @@ func TestPrometheusExpositionContract(t *testing.T) {
 
 	before := flatten(scrapeProm(t, srv.URL))
 
-	// Drive solve traffic: two distinct solves plus a repeat (cache hit)
-	// and one error.
+	// Drive solve traffic: two distinct solves plus two repeats (cache
+	// hits, the second answered from the body's stored bytes) and one
+	// error.
 	postJSON(t, srv.URL+"/solve", `{"algo":"greedy","scenario":"sensor-tree","scenario_seed":1}`)
 	postJSON(t, srv.URL+"/solve", `{"algo":"line-unit","scenario":"videowall-line","scenario_seed":2,"seed":1}`)
+	postJSON(t, srv.URL+"/solve", `{"algo":"greedy","scenario":"sensor-tree","scenario_seed":1}`)
 	postJSON(t, srv.URL+"/solve", `{"algo":"greedy","scenario":"sensor-tree","scenario_seed":1}`)
 	postJSON(t, srv.URL+"/solve", `{"algo":"nope","scenario":"sensor-tree"}`)
 
@@ -70,6 +72,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		{"sched_errors_total", "counter"},
 		{"sched_result_cache_hits_total", "counter"},
 		{"sched_result_cache_misses_total", "counter"},
+		{"sched_result_cache_body_hits_total", "counter"},
 		{"sched_compiled_cache_hits_total", "counter"},
 		{"sched_compiled_cache_misses_total", "counter"},
 		{"sched_solve_nanos_total", "counter"},
@@ -120,6 +123,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		"sched_errors_total":                            snap.Errors,
 		"sched_result_cache_hits_total":                 snap.ResultHits,
 		"sched_result_cache_misses_total":               snap.ResultMisses,
+		"sched_result_cache_body_hits_total":            snap.ResultBodyHits,
 		"sched_requests_by_algo_total{algo=\"greedy\"}": snap.ByAlgo["greedy"],
 		"sched_solve_latency_ns_count":                  snap.SolveLatency.Count,
 		"sched_request_decode_fallback_total":           snap.RequestDecodeFallbacks,
@@ -128,7 +132,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 			t.Errorf("%s = %g in exposition, %d in JSON snapshot", key, got, want)
 		}
 	}
-	if snap.Requests != 4 || snap.Errors != 1 || snap.ResultHits != 1 || snap.ResultMisses != 2 {
+	if snap.Requests != 5 || snap.Errors != 1 || snap.ResultHits != 2 || snap.ResultMisses != 2 || snap.ResultBodyHits != 1 {
 		t.Errorf("unexpected traffic accounting: %+v", snap)
 	}
 	if after["sched_solve_latency_ns{quantile=\"0.99\"}"] <= 0 {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -219,6 +220,7 @@ type Engine struct {
 	sem         chan struct{} // bounded worker pool
 	compiled    *shardedCache[*core.Compiled]
 	results     *shardedCache[*Response]
+	bodies      *shardedCache[bodyEntry] // /solve bodies the result cache has answered (http.go)
 	sessions    *sessionManager
 	met         *metrics
 	start       time.Time
@@ -259,6 +261,7 @@ func New(cfg Config) *Engine {
 		sem:         make(chan struct{}, cfg.Workers),
 		compiled:    newShardedCache[*core.Compiled](cfg.CompiledCacheSize, shards),
 		results:     newShardedCache[*Response](cfg.ResultCacheSize, shards),
+		bodies:      newShardedCache[bodyEntry](cfg.ResultCacheSize, shards),
 		sessions:    newSessionManager(cfg.MaxSessions, cfg.SessionIdleTimeout),
 		met:         newMetrics(Algorithms()),
 		start:       time.Now(),
@@ -538,14 +541,35 @@ func errMsg(err error) string {
 // cache second. The returned Response is shared with the cache — treat
 // as immutable.
 func (e *Engine) Solve(ctx context.Context, req *Request) (*Response, error) {
+	resp, _, err := e.solveMemo(ctx, req)
+	return resp, err
+}
+
+// solveMemo is Solve that also returns the result key when the result
+// cache answered the request, and "" otherwise: /solve keeps the bytes
+// of such an answer for the next sight of the same body.
+func (e *Engine) solveMemo(ctx context.Context, req *Request) (resp *Response, hitKey string, err error) {
+	err = e.account(ctx, func(rq *obs.Req) error {
+		var err error
+		resp, hitKey, err = e.solve(ctx, rq, req)
+		return err
+	})
+	return resp, hitKey, err
+}
+
+// account is the bookkeeping of one solve-class request around fn: the
+// drain group, the request and error counters, the SLO and the recorder
+// record fn fills. Solve and a repeated /solve body both run through
+// it, so they count alike.
+func (e *Engine) account(ctx context.Context, fn func(rq *obs.Req) error) error {
 	if err := e.enter(); err != nil {
-		return nil, err
+		return err
 	}
 	defer e.wg.Done()
 	e.met.requests.Add(1)
 	begin := time.Now()
 	rq := e.beginReq(ctx, "solve", begin)
-	resp, err := e.solve(ctx, rq, req)
+	err := fn(rq)
 	durNs := time.Since(begin).Nanoseconds()
 	if err != nil {
 		e.met.errors.Add(1)
@@ -554,7 +578,19 @@ func (e *Engine) Solve(ctx context.Context, req *Request) (*Response, error) {
 		e.sloSolve.Observe(durNs, failed)
 	}
 	rq.Finish(durNs, errMsg(err))
-	return resp, err
+	return err
+}
+
+// noteAlgo counts a request under its (registered) algorithm.
+func (e *Engine) noteAlgo(rq *obs.Req, algo string) {
+	e.met.countAlgo(algo)
+	rq.SetAlgo(algo)
+}
+
+// noteResultHit counts a request the result cache answered.
+func (e *Engine) noteResultHit(rq *obs.Req) {
+	e.met.resultHits.Add(1)
+	rq.SetOutcome(outcomeResultHit)
 }
 
 // Request outcomes recorded for /debug and the request log.
@@ -565,7 +601,7 @@ const (
 	outcomeError     = "error"
 )
 
-func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Response, err error) {
+func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Response, hitKey string, err error) {
 	// Core signals violated preconditions it cannot express as errors by
 	// panicking (e.g. NewSchedule on an out-of-range epsilon). A panic
 	// must fail the one request, never the process — /batch executes
@@ -573,24 +609,23 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	// cannot help.
 	defer func() {
 		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("service: panic during %q solve: %v", req.Algo, r)
+			resp, hitKey, err = nil, "", fmt.Errorf("service: panic during %q solve: %v", req.Algo, r)
 		}
 	}()
 
 	rq.SetPhase(obs.PhaseValidate)
 	algo, ok := core.Lookup(req.Algo)
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrBadRequest, req.Algo, Algorithms())
+		return nil, "", fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrBadRequest, req.Algo, Algorithms())
 	}
-	e.met.countAlgo(req.Algo)
-	rq.SetAlgo(req.Algo)
+	e.noteAlgo(rq, req.Algo)
 	if req.Epsilon < 0 || req.Epsilon >= 1 {
-		return nil, fmt.Errorf("%w: epsilon %g outside [0,1) (0 = default 0.25)", ErrBadRequest, req.Epsilon)
+		return nil, "", fmt.Errorf("%w: epsilon %g outside [0,1) (0 = default 0.25)", ErrBadRequest, req.Epsilon)
 	}
 
 	hash, materialize, err := e.problemSource(req)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds, MaxNodes: req.MaxNodes}
 	if opts.MaxNodes <= 0 || opts.MaxNodes > e.cfg.MaxExactNodes {
@@ -600,9 +635,8 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	rq.SetPhase(obs.PhaseCacheCheck)
 	key := resultKey(hash, algo, opts)
 	if resp, ok := e.results.get(key); ok {
-		e.met.resultHits.Add(1)
-		rq.SetOutcome(outcomeResultHit)
-		return resp, nil
+		e.noteResultHit(rq)
+		return resp, key, nil
 	}
 	e.met.resultMisses.Add(1)
 
@@ -628,7 +662,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	} else {
 		rq.SetOutcome(outcomeError)
 	}
-	return resp, err
+	return resp, "", err
 }
 
 // execute is the solve-flight leader body: worker slot, compiled model,
@@ -709,11 +743,36 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, algo co
 	if err != nil {
 		return nil, fmt.Errorf("service: solver emitted infeasible solution: %w", err)
 	}
+	if err := checkFinite(res); err != nil {
+		return nil, err
+	}
 	rq.SetPhase(obs.PhaseRespond)
 
 	resp = buildResponse(req, c, res, net)
 	e.results.add(key, resp)
 	return resp, nil
+}
+
+// checkFinite refuses a result JSON cannot carry. The problem's total
+// profit is finite (instance.Validate), but a dual can still overflow,
+// say under a huge profit over a tiny capacity; that is the client's
+// input, and the error is returned before anything is memoized.
+func checkFinite(res *core.Result) error {
+	for _, v := range [...]struct {
+		name string
+		x    float64
+	}{
+		{"profit", res.Profit},
+		{"dual upper bound", res.DualUB},
+		{"certified ratio", res.CertifiedRatio},
+		{"bound", res.Bound},
+		{"lambda", res.Lambda},
+	} {
+		if math.IsInf(v.x, 0) || math.IsNaN(v.x) {
+			return fmt.Errorf("%w: the solution's %s is %g, which JSON cannot carry", ErrBadRequest, v.name, v.x)
+		}
+	}
+	return nil
 }
 
 // buildResponse assembles the complete, final Response for a solved

@@ -385,6 +385,9 @@ func (e *Engine) sessionSchedule(ctx context.Context, rq *obs.Req, id string) (*
 	}
 
 	res := sched.Result
+	if err := checkFinite(res); err != nil {
+		return nil, err
+	}
 	out := &SessionSchedule{
 		SessionID:   id,
 		Version:     sched.Version,
