@@ -13,7 +13,7 @@
 //	               [-eps 0.25] [-seed 1] [-o result.json]
 //	               [-trace-out timeline.json] < problem.json
 //	               (-trace-out writes the solve's phase timeline — compile,
-//	               phase1 epochs/stages, verify, phase2 — as telemetry JSON;
+//	               phase1 epochs, verify, phase2 — as telemetry JSON;
 //	               the solver output is byte-identical with or without it)
 //	schedtool verify -solution sol.json < problem.json
 //	schedtool scenarios

@@ -148,8 +148,8 @@ type LoadShardEntry struct {
 // LoadRecorderEntry quantifies the flight recorder's serving cost on
 // fixed work: per-client arrival schedules are drawn once from the
 // saturation mix, then every engine — the pre-recorder oracle
-// (DisableRecorder), the serving default (recorder on, span sampling
-// off) and the fully traced mode (sample=1) — replays the byte-for-byte
+// (DisableRecorder), the recorder on with span sampling off (sample=0)
+// and the fully traced mode (sample=1) — replays the byte-for-byte
 // identical traffic. Repetitions rotate the mode order (so a
 // process-level drift never lands on one mode) and each mode keeps its
 // best wall clock: min-of-K over identical work is robust against GC
@@ -157,8 +157,10 @@ type LoadShardEntry struct {
 type LoadRecorderEntry struct {
 	Clients int `json:"clients"`
 	Rounds  int `json:"rounds"`
-	// BaselineRPS is the DisableRecorder oracle; RecorderRPS the serving
-	// default (sample=0); TracedRPS the sample=1 mode.
+	// BaselineRPS is the DisableRecorder oracle; RecorderRPS the recorder
+	// at sample=0; TracedRPS the sample=1 mode. The schedserver binary
+	// ships sample 0.01, which traces every request as sample=1 does and
+	// keeps fewer of the trees; no arm runs it.
 	BaselineRPS float64 `json:"baseline_rps"`
 	RecorderRPS float64 `json:"recorder_rps"`
 	TracedRPS   float64 `json:"traced_rps"`
@@ -589,8 +591,8 @@ func measureRecorderEntry(clients int, ph loadPhases, quick bool) (*LoadRecorder
 		scheds[i] = sched
 	}
 	// One arm per recorder configuration: off (DisableRecorder, the
-	// pre-recorder oracle), on (span sampling off, the serving default)
-	// and traced (sample=1: every request records its span timeline).
+	// pre-recorder oracle), on (span sampling off, sample=0) and traced
+	// (sample=1: every request records its span timeline).
 	// Each round runs on a fresh engine so every round does identical
 	// work; building and closing the engine sits inside the timed region
 	// and is orders of magnitude cheaper than the replay.
@@ -705,8 +707,8 @@ func LoadBench(quick bool) (*LoadReport, error) {
 			"arrival (queueing included), with singleflight coalescing and cache-hit rates; " +
 			"shard_entries = the same hit-heavy closed loop on single-lock vs sharded caches " +
 			"(speedup gates apply only on >=4-core runners); recorder_entries = the mixed closed " +
-			"loop with the flight recorder off / on (sample=0, the serving default) / fully traced " +
-			"(sample=1), gated on the serving default's overhead",
+			"loop with the flight recorder off / on (sample=0) / fully traced " +
+			"(sample=1), gated on the sample=0 overhead",
 		Regenerate: "go run ./cmd/schedbench -load -o BENCH_load.json",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),

@@ -309,10 +309,12 @@ func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 // caller (cached and pooled in a solverModel, or freshly built). The
 // returned duals and stack alias the scratch: a pooling caller must
 // finish with them before releasing it. A non-nil tel records one span
-// per epoch with per-stage child spans (steps, raises, Luby MIS phase
-// counts); tel is read-only observation and never alters the
-// computation — with tel == nil the loop pays one predictable branch
-// per stage and per step.
+// per epoch, whose counters sum its stages (stages, steps, raises, Luby
+// MIS phases), so a traced solve records O(epochs) spans however many
+// stages a narrow schedule runs; the per-stage step counts are
+// CollectTrace's StepsPerStage. tel is read-only observation and never
+// alters the computation — with tel == nil the loop pays one
+// predictable branch per epoch.
 //
 // The active set is tracked incrementally instead of rescanned: each
 // stage starts with one scan of the epoch's layer-group bucket, and each
@@ -369,12 +371,8 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 			group = m.GroupInsts.Row(int32(k - 1))
 		}
 		var stageSteps []int
+		var epochSteps, epochRaises, epochPhases int
 		for j := 1; j <= sched.Stages; j++ {
-			stageSpan := obs.NoSpan
-			var stageRaises, stagePhases int
-			if tel != nil {
-				stageSpan = tel.Begin("stage")
-			}
 			threshold = sched.Thresholds[j-1]
 			// U = group-k instances that are threshold-unsatisfied. One
 			// bucket scan per stage — cached LHS reads, so only instances
@@ -399,10 +397,8 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 				if trace != nil {
 					trace.MISPhases += phases
 				}
-				if tel != nil {
-					stagePhases += phases
-					stageRaises += len(set)
-				}
+				epochPhases += phases
+				epochRaises += len(set)
 				// The MIS scratch reuses its output buffer, so the set is
 				// copied into the solve's arena before it is retained.
 				start := len(sc.setArena)
@@ -434,18 +430,19 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 					}
 				}
 			}
+			epochSteps += steps
 			if trace != nil {
 				stageSteps = append(stageSteps, steps)
-			}
-			if tel != nil {
-				tel.Add(stageSpan, "steps", int64(steps))
-				tel.Add(stageSpan, "raises", int64(stageRaises))
-				tel.Add(stageSpan, "mis_phases", int64(stagePhases))
-				tel.End(stageSpan)
 			}
 		}
 		if trace != nil {
 			trace.StepsPerStage = append(trace.StepsPerStage, stageSteps)
+		}
+		if tel != nil {
+			tel.Add(epochSpan, "stages", int64(sched.Stages))
+			tel.Add(epochSpan, "steps", int64(epochSteps))
+			tel.Add(epochSpan, "raises", int64(epochRaises))
+			tel.Add(epochSpan, "mis_phases", int64(epochPhases))
 		}
 		tel.End(epochSpan)
 	}

@@ -10,13 +10,19 @@ package core
 //     runs with Options.Telemetry nil and is that guard; the test here
 //     pins that a nil trace adds no allocations at all;
 //   - a recorded timeline must actually account for the solve: root spans
-//     cover ≥95% of the entry point's wall time.
+//     cover ≥95% of the entry point's wall time;
+//   - a recorded timeline stays bounded by the solve's phases: a constant
+//     number of spans plus one per phase-1 epoch, however many stages a
+//     schedule runs or steps its stages take.
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"treesched/internal/gen"
 	"treesched/internal/obs"
 	"treesched/internal/scenario"
 )
@@ -49,6 +55,123 @@ func TestTelemetryEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The span budget of a traced solve: spanBudgetBase spans for its
+// phases (compile, phase1, verify_lambda, phase2 and assemble, twice for
+// arbitrary's two sub-solves) plus spanBudgetPerEpoch per phase-1 epoch.
+// Neither term reads the schedule's stage count or its steps.
+const (
+	spanBudgetBase     = 12
+	spanBudgetPerEpoch = 1
+)
+
+// TestTelemetrySpanBudget runs every registry entry over every scenario
+// and three seeds, as TestTelemetryEquivalence does, and holds each
+// traced solve to the span budget. The epoch count comes from
+// CollectTrace (one StepsPerStage row per epoch), not from the spans, and
+// every epoch span must carry its epoch's sums: its stage count, its
+// steps and its raises, and, over one phase-1 run, the Luby MIS phases.
+func TestTelemetrySpanBudget(t *testing.T) {
+	for name, p := range scenarioProblems(t) {
+		c, err := Compile(p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, ep := range Algorithms() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				tel := obs.NewTrace()
+				opts := Options{Epsilon: 0.25, Seed: seed, MaxNodes: 500_000, CollectTrace: true, Telemetry: tel}
+				res, _, err := ep.Run(c, opts)
+				if err != nil {
+					continue // a precondition error; TestTelemetryEquivalence pins it
+				}
+				checkSpanBudget(t, fmt.Sprintf("%s/%s seed %d", name, ep.Name, seed), tel.Spans(), phase1Traces(res))
+			}
+		}
+	}
+}
+
+// phase1Traces lists the CollectTrace traces of res's multi-stage phase-1
+// runs in solve order: its own, or its parts' when it combines
+// sub-solves.
+func phase1Traces(res *Result) []*Trace {
+	var out []*Trace
+	for _, r := range append([]*Result{res}, res.Parts...) {
+		if r.Trace != nil && len(r.Trace.StepsPerStage) > 0 {
+			out = append(out, r.Trace)
+		}
+	}
+	return out
+}
+
+// checkSpanBudget holds spans to the span budget over the epochs of
+// traces, and matches the epoch spans, grouped by their phase1 parent,
+// to the traces' epochs.
+func checkSpanBudget(t *testing.T, label string, spans []obs.Span, traces []*Trace) {
+	t.Helper()
+	epochs := 0
+	for _, tr := range traces {
+		epochs += len(tr.StepsPerStage)
+	}
+	if budget := spanBudgetBase + spanBudgetPerEpoch*epochs; len(spans) > budget {
+		t.Fatalf("%s: %d spans over %d epochs, budget %d", label, len(spans), epochs, budget)
+	}
+	var runs [][]obs.Span
+	parent := obs.NoSpan
+	for _, sp := range spans {
+		if sp.Name != "epoch" {
+			continue
+		}
+		if len(runs) == 0 || sp.Parent != parent {
+			runs = append(runs, nil)
+			parent = sp.Parent
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], sp)
+	}
+	if len(runs) != len(traces) {
+		t.Fatalf("%s: epoch spans under %d phase1 spans, %d multi-stage phase-1 runs", label, len(runs), len(traces))
+	}
+	for r, tr := range traces {
+		if len(runs[r]) != len(tr.StepsPerStage) {
+			t.Fatalf("%s: run %d has %d epoch spans over %d epochs", label, r, len(runs[r]), len(tr.StepsPerStage))
+		}
+		raises := map[int]int64{}
+		for _, ev := range tr.Events {
+			raises[ev.Epoch]++
+		}
+		var phases int64
+		for k, sp := range runs[r] {
+			steps := 0
+			for _, s := range tr.StepsPerStage[k] {
+				steps += s
+			}
+			want := map[string]int64{
+				"stages": int64(len(tr.StepsPerStage[k])),
+				"steps":  int64(steps),
+				"raises": raises[k+1],
+			}
+			for name, v := range want {
+				if got := spanCounter(sp, name); got != v {
+					t.Fatalf("%s: run %d epoch %d: %s = %d, want %d", label, r, k+1, name, got, v)
+				}
+			}
+			phases += spanCounter(sp, "mis_phases")
+		}
+		if phases != int64(tr.MISPhases) {
+			t.Fatalf("%s: run %d: epoch spans count %d MIS phases, want %d", label, r, phases, tr.MISPhases)
+		}
+	}
+}
+
+// spanCounter reads one counter of a span, 0 when it is absent.
+func spanCounter(sp obs.Span, name string) int64 {
+	for _, c := range sp.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // TestTelemetryNilTraceAddsNoAllocations pins the off-switch: a warm
@@ -134,5 +257,42 @@ func TestTraceCoversSolveWallTime(t *testing.T) {
 	}
 	if best < 0.95 {
 		t.Fatalf("trace covers %.1f%% of solve wall time, want ≥95%%", best*100)
+	}
+}
+
+// BenchmarkTracedSolve times arbitrary on one problem of fresh-pair's
+// capacitated-tree family (160 demands on 4 trees of 64 vertices,
+// heights 0.1–1), untraced and with a fresh Trace per solve, as a server
+// sampling at any rate above 0 records one per request.
+func BenchmarkTracedSolve(b *testing.B) {
+	p := gen.TreeProblem(gen.TreeConfig{
+		N: 64, Trees: 4, Demands: 160, HMin: 0.1, HMax: 1, Capacity: 1.6, CapJitter: 0.5, AccessProb: 0.6,
+	}, rand.New(rand.NewSource(1)))
+	c, err := Compile(p, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, _ := Lookup("arbitrary")
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		b.Run(name, func(b *testing.B) {
+			solve := func() {
+				opts := Options{Seed: 1}
+				if traced {
+					opts.Telemetry = obs.NewTrace()
+				}
+				if _, _, err := a.Run(c, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			solve() // build the lazy sub-models
+			b.ReportAllocs()
+			for b.Loop() {
+				solve()
+			}
+		})
 	}
 }

@@ -332,7 +332,10 @@ func (r *Recorder) rollDice() float64 {
 
 // Req is the handle of one in-flight request. The owning goroutine
 // calls SetPhase/SetAlgo/SetOutcome/Link and finally Finish; the debug
-// listing reads the atomic fields concurrently.
+// listing reads phase and algo concurrently, so phase is atomic and algo
+// is written under the shard lock the listing holds. outcome and linked
+// are read only by Finish, on the owning goroutine. No setter allocates:
+// each stores the caller's string header as it is.
 type Req struct {
 	rec      *Recorder
 	shard    *recorderShard // the shard holding this handle's active slot
@@ -345,9 +348,9 @@ type Req struct {
 	trace    *Trace // non-nil when sampling is enabled
 
 	phase   atomic.Int32
-	algo    atomic.Pointer[string]
-	outcome atomic.Pointer[string]
-	linked  atomic.Pointer[string]
+	algo    string // guarded by shard.mu
+	outcome string
+	linked  string
 }
 
 // Begin registers an in-flight request under id (minted via NextID when
@@ -378,9 +381,7 @@ func (r *Recorder) BeginAt(id, endpoint string, start time.Time) *Req {
 	rq.start = start
 	rq.seq = r.seq.Add(1)
 	rq.phase.Store(int32(PhaseStart))
-	rq.algo.Store(nil)
-	rq.outcome.Store(nil)
-	rq.linked.Store(nil)
+	rq.algo, rq.outcome, rq.linked = "", "", ""
 	if r.cfg.Sample > 0 {
 		rq.trace = NewTrace()
 		rq.sampled = r.cfg.Sample >= 1 || r.rollDice() < r.cfg.Sample
@@ -430,16 +431,17 @@ func (q *Req) SetAlgo(algo string) {
 	if q == nil || algo == "" {
 		return
 	}
-	q.algo.Store(&algo)
+	q.shard.mu.Lock()
+	q.algo = algo
+	q.shard.mu.Unlock()
 }
 
-// SetOutcome records how the request was served (pass package-level
-// constants; the pointer is stored as-is).
+// SetOutcome records how the request was served.
 func (q *Req) SetOutcome(outcome string) {
 	if q == nil || outcome == "" {
 		return
 	}
-	q.outcome.Store(&outcome)
+	q.outcome = outcome
 }
 
 // Link marks the request a singleflight follower of leaderID.
@@ -447,14 +449,7 @@ func (q *Req) Link(leaderID string) {
 	if q == nil || leaderID == "" {
 		return
 	}
-	q.linked.Store(&leaderID)
-}
-
-func loadStr(p *atomic.Pointer[string]) string {
-	if s := p.Load(); s != nil {
-		return *s
-	}
-	return ""
+	q.linked = leaderID
 }
 
 // Finish completes the request: removes it from the active table,
@@ -475,21 +470,24 @@ func (q *Req) Finish(durNs int64, errMsg string) {
 		Seq:         q.seq,
 		ID:          q.id,
 		Endpoint:    q.endpoint,
-		Algo:        loadStr(&q.algo),
-		Outcome:     loadStr(&q.outcome),
+		Algo:        q.algo,
+		Outcome:     q.outcome,
 		Error:       errMsg,
-		LinkedTo:    loadStr(&q.linked),
+		LinkedTo:    q.linked,
 		StartUnixNs: q.start.UnixNano(),
 		DurNs:       durNs,
-	}
-	var full *TraceExport
-	if q.trace != nil {
-		exp := q.trace.Export()
-		full = &exp
 	}
 	slow := durNs > r.cfg.SlowNs
 	isErr := errMsg != ""
 	sampled := q.sampled
+	// The timeline is exported only when a ring keeps it; a request the
+	// dice passed over that ran neither slow nor into an error drops its
+	// trace here.
+	var full *TraceExport
+	if q.trace != nil && (sampled || slow || isErr) {
+		exp := q.trace.Export()
+		full = &exp
+	}
 
 	s := q.shard
 	s.mu.Lock()
@@ -562,7 +560,7 @@ func (r *Recorder) Active() []ActiveReq {
 			out = append(out, ActiveReq{
 				ID:          q.id,
 				Endpoint:    q.endpoint,
-				Algo:        loadStr(&q.algo),
+				Algo:        q.algo,
 				Phase:       Phase(q.phase.Load()).String(),
 				StartUnixNs: q.start.UnixNano(),
 				AgeNs:       now.Sub(q.start).Nanoseconds(),

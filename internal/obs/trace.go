@@ -114,6 +114,12 @@ func (t *Trace) End(id SpanID) {
 	}
 }
 
+// spanCounterCap is the capacity of a span's counter list, allocated on
+// its first Add: the most counters an instrumented span carries is
+// compile's five, so a span's counters cost one allocation, not one per
+// doubling.
+const spanCounterCap = 5
+
 // Add accumulates a named counter on the span (summing on repeat keys).
 func (t *Trace) Add(id SpanID, name string, v int64) {
 	if t == nil || id < 0 || int(id) >= len(t.spans) {
@@ -125,6 +131,9 @@ func (t *Trace) Add(id SpanID, name string, v int64) {
 			sp.Counters[i].Value += v
 			return
 		}
+	}
+	if sp.Counters == nil {
+		sp.Counters = make([]SpanCounter, 0, spanCounterCap)
 	}
 	sp.Counters = append(sp.Counters, SpanCounter{Name: name, Value: v})
 }

@@ -64,6 +64,11 @@ func (e *Engine) Handler() http.Handler {
 	return mux
 }
 
+// requestIDHeader is X-Request-ID in canonical form, the form
+// http.Header stores and writes: a key already canonical is looked up
+// and set without building the canonical copy.
+const requestIDHeader = "X-Request-Id"
+
 // instrumented wraps an engine endpoint: it accepts the client's
 // X-Request-ID (minting a recorder id when absent), echoes the id on
 // the response header, and deposits id + endpoint class in the request
@@ -71,12 +76,12 @@ func (e *Engine) Handler() http.Handler {
 // and no client id, behavior is unchanged — no header, no context keys.
 func (e *Engine) instrumented(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
+		id := r.Header.Get(requestIDHeader)
 		if id == "" && e.rec != nil {
 			id = e.rec.NextID()
 		}
 		if id != "" {
-			w.Header().Set("X-Request-ID", id)
+			w.Header().Set(requestIDHeader, id)
 		}
 		h(w, r.WithContext(withEndpoint(WithRequestID(r.Context(), id), endpoint)))
 	}
@@ -238,12 +243,15 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 
+	// encodeLine encodes one output line, newline included, as /solve
+	// encodes its body.
 	encodeLine := func(v any) []byte {
-		data, err := json.Marshal(v)
-		if err != nil {
-			data, _ = json.Marshal(errorBody{Error: err.Error()})
+		var buf bytes.Buffer
+		if err := encodeJSON(&buf, v); err != nil {
+			buf.Reset()
+			encodeJSON(&buf, errorBody{Error: err.Error()}) // nolint:errcheck — a string always encodes
 		}
-		return data
+		return buf.Bytes()
 	}
 
 	sc := bufio.NewScanner(r.Body)
@@ -283,7 +291,6 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		},
 		func(v any) {
 			w.Write(v.([]byte)) // nolint:errcheck — keep draining on client loss
-			w.Write([]byte("\n"))
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -293,7 +300,6 @@ func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The stream is already partially written; append a final error
 		// line rather than a status code.
 		w.Write(encodeLine(errorBody{Error: fmt.Sprintf("read stream: %v", err)})) // nolint:errcheck
-		w.Write([]byte("\n"))                                                      // nolint:errcheck
 	}
 }
 

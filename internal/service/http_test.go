@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -197,5 +198,50 @@ func TestHTTPMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /solve: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBatchLineBytesMatchSolve: one request gets the same bytes as a
+// /batch line as from /solve, HTML-significant characters included,
+// since both encode with HTML escaping off and end with one newline.
+func TestBatchLineBytesMatchSolve(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	h := e.Handler()
+	for _, body := range []string{
+		`{"algo":"<b>&","scenario":"sensor-tree"}`,
+		`{"algo":"greedy","scenario":"sensor-tree"}`,
+	} {
+		solve := postHandler(h, []byte(body), "")
+		batch := httptest.NewRecorder()
+		h.ServeHTTP(batch, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body+"\n")))
+		if !bytes.Equal(solve.Body.Bytes(), batch.Body.Bytes()) {
+			t.Fatalf("%s: /solve answered\n%s\nand /batch\n%s", body, solve.Body, batch.Body)
+		}
+	}
+	if rec := postHandler(h, []byte(`{"algo":"<b>&","scenario":"sensor-tree"}`), ""); !strings.Contains(rec.Body.String(), `<b>&`) {
+		t.Fatalf("error quotes the algorithm escaped: %s", rec.Body)
+	}
+}
+
+// TestRequestIDHeaderWireForm: a client may send X-Request-ID in any
+// case, and the id is echoed on the wire as X-Request-Id, the canonical
+// form net/http writes.
+func TestRequestIDHeaderWireForm(t *testing.T) {
+	_, srv := newTestServer(t)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"algo":"greedy","scenario":"sensor-tree"}`
+	fmt.Fprintf(conn, "POST /solve HTTP/1.1\r\nHost: test\r\nX-REQUEST-ID: wire-7\r\n"+
+		"Content-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(body), body)
+	raw, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("HTTP/1.1 200 ")) || !bytes.Contains(raw, []byte("\r\nX-Request-Id: wire-7\r\n")) {
+		t.Fatalf("response does not echo X-Request-Id: wire-7:\n%s", raw)
 	}
 }

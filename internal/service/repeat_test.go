@@ -151,11 +151,11 @@ func TestRepeatBodyFallsBackWhenEvicted(t *testing.T) {
 
 // maxBodyHitAllocs pins the allocations of one body hit through
 // Handler(), at the count measured (go1.24, linux/amd64). None is the
-// body cache's: the request id and the endpoint put in the context and
-// the request copy that carries them, the body limit, two response
-// headers and two canonical forms of X-Request-ID, and the recorder's
-// id, record, algorithm and outcome.
-const maxBodyHitAllocs = 14
+// body cache's: the request id and the endpoint put in the context
+// (each boxed, then wrapped) and the request copy that carries them,
+// the body limit, two response headers, and the recorder's id and
+// record.
+const maxBodyHitAllocs = 10
 
 // TestBodyHitAllocs pins what one repeated memo-hit-sized body costs
 // in allocations.

@@ -82,10 +82,11 @@ type Config struct {
 	// retains its span timeline in the recorder's recent class. Any
 	// value > 0 turns span recording on for every request — slow and
 	// errored requests then always keep their timelines regardless of
-	// the dice. 0 (the default) disables span trees entirely: responses
-	// are byte-identical to an uninstrumented engine and no Trace is
-	// allocated anywhere (the recorder still keeps its constant-cost
-	// request records).
+	// the dice — and the schedserver binary ships 0.01, so its every
+	// solve is traced. 0 (the Config zero value) disables span trees
+	// entirely: responses are byte-identical to an uninstrumented engine
+	// and no Trace is allocated anywhere (the recorder still keeps its
+	// constant-cost request records).
 	TraceSample float64
 	// SlowThreshold classifies completions slower than this into the
 	// recorder's slow class (default 500ms).
