@@ -141,40 +141,20 @@ type Compiled struct {
 	adoptWide, adoptNarrow *solveScratch
 
 	// workers is the compile fan-out knob (model.Options.Workers
-	// semantics: 0 = GOMAXPROCS, 1 = the serial oracle) consumed by every
-	// lazy model build this compilation triggers. Set by
-	// SetCompileWorkers or adopted from Options.CompileWorkers at the
-	// entry points; stored atomically because concurrent first solves may
-	// carry different options. The knob only selects how many cores a
-	// build spends — the built model is byte-identical at every setting
-	// (pinned by the parallel-compile equivalence suite) — so whichever
-	// racing store lands before the once-guarded build wins harmlessly.
-	workers atomic.Int32
+	// semantics: 0 = GOMAXPROCS, 1 or below = the serial oracle) of every
+	// lazy model build this compilation triggers, carried to the
+	// generations WithJobs derives. It only selects how many cores a build
+	// spends — the built model is byte-identical at every setting (pinned
+	// by the parallel-compile equivalence suite).
+	workers int
 }
 
 // SetCompileWorkers fixes the compile fan-out for every lazy model build
-// of this compilation: 0 (the default) uses GOMAXPROCS, 1 keeps the
-// serial path, n uses n workers. Output never depends on the setting.
-func (c *Compiled) SetCompileWorkers(w int) { c.workers.Store(int32(w)) }
-
-// compileWorkers returns the current fan-out knob for a model build.
-func (c *Compiled) compileWorkers() int {
-	w := int(c.workers.Load())
-	if w < 0 {
-		return 1
-	}
-	return w
-}
-
-// prep applies the option defaults and adopts a non-zero CompileWorkers
-// before any lazy build the call may trigger. Every compiled-model entry
-// point that accepts Options runs through it.
-func (c *Compiled) prep(opts Options) Options {
-	if opts.CompileWorkers != 0 {
-		c.workers.Store(int32(opts.CompileWorkers))
-	}
-	return opts.withDefaults()
-}
+// of this compilation and the generations derived from it: 0 (the
+// default) uses GOMAXPROCS, 1 keeps the serial path, n uses n workers.
+// Output never depends on the setting. Set it before the compilation is
+// shared: it is not safe to call concurrently with a solve or WithJobs.
+func (c *Compiled) SetCompileWorkers(w int) { c.workers = w }
 
 // Compile validates p and prepares it for repeated solving. decomp
 // selects the tree decomposition (zero value = KindIdeal, the paper's
@@ -191,14 +171,14 @@ func (c *Compiled) Problem() *instance.Problem { return c.p }
 
 // fullModel lazily builds the full model (all instances), reusing
 // prebuilt tree decompositions when a previous generation supplies them.
-// The build fans out across compileWorkers() cores; the resulting model
-// is identical at any fan-out.
+// The build fans out across the compilation's workers; the resulting
+// model is identical at any fan-out.
 func (c *Compiled) fullModel() (*solverModel, error) {
 	return c.full.get(func(st *model.BuildStats) (*model.Model, error) {
 		return model.Build(c.p, model.Options{
 			DecompKind: c.decomp,
 			Decomps:    c.decompsHint,
-			Workers:    c.compileWorkers(),
+			Workers:    c.workers,
 			Stats:      st,
 		})
 	})
@@ -292,7 +272,7 @@ func (c *Compiled) sequentialModel() (*solverModel, error) {
 			DecompKind:     treedecomp.KindRootFixing,
 			CaptureWingsPi: true,
 			Decomps:        c.seqDecompsHint,
-			Workers:        c.compileWorkers(),
+			Workers:        c.workers,
 			Stats:          st,
 		})
 	})
@@ -304,7 +284,7 @@ func (c *Compiled) sequentialModel() (*solverModel, error) {
 // solve.
 func (c *Compiled) sequentialLineModel() (*solverModel, error) {
 	return c.seqLine.get(func(st *model.BuildStats) (*model.Model, error) {
-		m, err := model.Build(c.p, model.Options{Workers: c.compileWorkers(), Stats: st})
+		m, err := model.Build(c.p, model.Options{Workers: c.workers, Stats: st})
 		if err != nil {
 			return nil, err
 		}
@@ -422,7 +402,7 @@ func (c *Compiled) WithJobs(added []instance.Demand, removed []int) (*Compiled, 
 			return nil, err
 		}
 		nc.churn = c.churn
-		nc.workers.Store(c.workers.Load())
+		nc.workers = c.workers
 		nc.seqDecompsHint = c.seqHint()
 		if parent != nil {
 			nc.decompsHint = parent.m.Decomps
@@ -443,8 +423,8 @@ func (c *Compiled) WithJobs(added []instance.Demand, removed []int) (*Compiled, 
 		incremental:    true,
 		decompsHint:    nm.Decomps,
 		seqDecompsHint: c.seqHint(),
+		workers:        c.workers,
 	}
-	nc.workers.Store(c.workers.Load())
 	sm := &solverModel{m: nm}
 	// Scratch adoption: hand one of the parent's pooled scratches to the
 	// child so the first re-solve reuses warm buffers instead of

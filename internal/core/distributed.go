@@ -34,7 +34,7 @@ type DistributedResult struct {
 // reverse-stack second phase. With the same seed it selects exactly what
 // TreeUnit/LineUnit select.
 func (c *Compiled) DistributedUnit(opts Options) (*DistributedResult, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	p := c.p
 	if !p.UnitHeight() {
 		return nil, fmt.Errorf("core: DistributedUnit requires unit heights")
@@ -63,7 +63,7 @@ func (c *Compiled) DistributedUnit(opts Options) (*DistributedResult, error) {
 // [15,16] as a message-passing protocol — historically the setting those
 // papers targeted. Unit heights, line networks only.
 func (c *Compiled) DistributedPanconesiSozio(opts Options) (*DistributedResult, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	p := c.p
 	if p.Kind != instance.KindLine {
 		return nil, fmt.Errorf("core: DistributedPanconesiSozio is a line-network baseline (got %v)", p.Kind)
@@ -94,7 +94,7 @@ func (c *Compiled) DistributedPanconesiSozio(opts Options) (*DistributedResult, 
 // DistributedNarrow runs the §6.1 narrow-instance algorithm as a
 // message-passing protocol; all demands must have effective height ≤ 1/2.
 func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	sm, err := telModel(opts.Telemetry, c.fullModel)
 	if err != nil {
 		return nil, err
@@ -104,7 +104,10 @@ func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := NewSchedule(m, NarrowXi(m.Delta, hmin), opts.Epsilon)
+	sched, err := narrowSchedule(m, hmin, opts.Epsilon)
+	if err != nil {
+		return nil, err
+	}
 	cfg := &distProtocol{
 		name:  "narrow",
 		rule:  narrowRule(c.p),

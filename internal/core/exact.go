@@ -19,7 +19,7 @@ var ErrExactTooLarge = fmt.Errorf("core: exact solver exceeded its node budget")
 // §1 — so this cannot scale). opts.MaxNodes caps the search-tree size;
 // 0 means 50 million. Epsilon, Seed and FixedRounds are ignored.
 func (c *Compiled) Exact(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {
@@ -126,9 +126,9 @@ func (c *Compiled) Exact(opts Options) (*Result, error) {
 
 // Greedy is the naive baseline: instances by descending profit, added when
 // they fit. No approximation guarantee; used for experiment context.
-// Only Telemetry and CompileWorkers are read from opts.
+// Only Telemetry is read from opts.
 func (c *Compiled) Greedy(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {

@@ -70,26 +70,54 @@ func NarrowXi(delta int, hmin float64) float64 {
 }
 
 // NewSchedule builds the multi-stage schedule of §5: stages until
-// ξ^b ≤ ε, thresholds 1−ξ^j, λ = 1−ξ^b ≥ 1−ε.
+// ξ^b ≤ ε, thresholds 1−ξ^j, λ = 1−ξ^b ≥ 1−ε. The loop that finds b
+// computes each ξ^j once, into one slice sized from b ≈ ln ε / ln ξ.
 func NewSchedule(m *model.Model, xi, eps float64) Schedule {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("core: epsilon %g outside (0,1)", eps))
 	}
-	b := 1
-	for math.Pow(xi, float64(b)) > eps {
-		b++
+	if !(xi > 0 && xi < 1) {
+		panic(fmt.Sprintf("core: stage base %g outside (0,1)", xi))
 	}
-	s := Schedule{
-		Epochs: m.NumGroups,
-		Stages: b,
-		Xi:     xi,
+	// The estimate can miss b by a rounding either way; the loop settles
+	// it. The presize stops at maxStages, so a ξ a hair below 1 grows the
+	// slice as its stages arrive instead of asking for all of them first.
+	th := make([]float64, 0, 2+int(min(math.Log(eps)/math.Log(xi), maxStages)))
+	for j := 1; ; j++ {
+		pow := math.Pow(xi, float64(j))
+		th = append(th, 1-pow)
+		if pow <= eps {
+			break
+		}
 	}
-	for j := 1; j <= b; j++ {
-		s.Thresholds = append(s.Thresholds, 1-math.Pow(xi, float64(j)))
+	return Schedule{
+		Epochs:     m.NumGroups,
+		Stages:     len(th),
+		Xi:         xi,
+		Thresholds: th,
+		Lambda:     th[len(th)-1],
+		MaxSteps:   stepCap(m),
 	}
-	s.Lambda = s.Thresholds[b-1]
-	s.MaxSteps = stepCap(m)
-	return s
+}
+
+// maxStages caps b, the stages per epoch, of a narrow schedule. b grows
+// as ln(1/ε)·(1+∆²)/hmin and every stage sweeps its epoch's layer group,
+// so a tiny hmin makes a solve run for hours, and once hmin/(1+∆²)
+// falls below about 1e-16, ξ rounds to 1 and ξ^b never reaches ε. The
+// cap still answers every b the suites reach: at ∆ = 2, b is 69,316 at
+// height 1e-4 and about 6.9 million at 1e-6.
+const maxStages = 1 << 24
+
+// narrowSchedule is NewSchedule under the narrow rule's stage base, with
+// a stage count past maxStages refused as a precondition error before any
+// stage runs. ln(1/ξ) = ln(1+hmin/c) is computed without rounding ξ, so
+// the count stays finite where ξ itself rounds to 1.
+func narrowSchedule(m *model.Model, hmin, eps float64) (Schedule, error) {
+	c := 1 + float64(m.Delta*m.Delta)
+	if b := math.Log(1/eps) / math.Log1p(hmin/c); b > maxStages {
+		return Schedule{}, fmt.Errorf("core: minimum effective height %g needs %.3g stages per epoch, over the limit %d", hmin, b, maxStages)
+	}
+	return NewSchedule(m, NarrowXi(m.Delta, hmin), eps), nil
 }
 
 // NewSingleStageSchedule builds the Panconesi–Sozio style schedule: one

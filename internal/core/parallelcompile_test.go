@@ -55,11 +55,10 @@ func TestParallelCompileEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompileWorkersOptionThreading pins the Options route of the knob:
-// a CompileWorkers passed to the first solve must drive the lazy build
-// (and stick for later generations via WithJobs), with results identical
-// to the serial oracle either way.
-func TestCompileWorkersOptionThreading(t *testing.T) {
+// TestCompileWorkersCarryAcrossWithJobs: a fan-out set with
+// SetCompileWorkers sticks for later generations via WithJobs, with
+// results identical to the serial oracle's generation.
+func TestCompileWorkersCarryAcrossWithJobs(t *testing.T) {
 	s, ok := scenario.Get("caterpillar-backbone")
 	if !ok {
 		t.Fatal("missing scenario caterpillar-backbone")
@@ -72,21 +71,14 @@ func TestCompileWorkersOptionThreading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want solveOutcome
-	{
-		r, err := oracle.TreeUnit(Options{Seed: 3, CompileWorkers: 1})
-		want = outcomeOf(r, nil, err)
-	}
+	oracle.SetCompileWorkers(1)
 	c, err := Compile(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.TreeUnit(Options{Seed: 3, CompileWorkers: 2})
-	if got := outcomeOf(r, nil, err); !reflect.DeepEqual(want, got) {
-		t.Fatalf("CompileWorkers=2 via Options diverged:\n  %+v\nvs\n  %+v", got, want)
-	}
-	if got := c.compileWorkers(); got != 2 {
-		t.Fatalf("compileWorkers after Options{CompileWorkers:2} = %d, want 2", got)
+	c.SetCompileWorkers(2)
+	if _, err := c.TreeUnit(Options{Seed: 3}); err != nil {
+		t.Fatal(err)
 	}
 
 	// The knob carries across WithJobs generations (delta or fallback).
@@ -94,8 +86,8 @@ func TestCompileWorkersOptionThreading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nc.compileWorkers(); got != 2 {
-		t.Fatalf("compileWorkers after WithJobs = %d, want 2", got)
+	if nc.workers != 2 {
+		t.Fatalf("workers after WithJobs = %d, want 2", nc.workers)
 	}
 	no, err := oracle.WithJobs(nil, []int{0})
 	if err != nil {

@@ -27,9 +27,8 @@ type Algorithm struct {
 	// TestAlgorithmOptionContract solves every entry twice with options
 	// differing only in undeclared fields and requires identical output.
 	// The remaining fields never change a selection or certificate:
-	// DistWorkers, CompileWorkers and Telemetry only move cost or
-	// observe, CollectTrace only attaches Result.Trace, and DecompKind is
-	// fixed at Compile time.
+	// DistWorkers and Telemetry only move cost or observe, CollectTrace
+	// only attaches Result.Trace, and DecompKind is fixed at Compile time.
 	ReadsEpsilonSeed bool // Epsilon and Seed
 	ReadsFixedRounds bool // FixedRounds (the distributed drivers)
 	ReadsMaxNodes    bool // MaxNodes (the exact search budget)

@@ -21,7 +21,7 @@ import (
 // critical sets are materialized once in the Compiled's dedicated line
 // model.
 func (c *Compiled) SequentialLine(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	p := c.p
 	if p.Kind != instance.KindLine {
 		return nil, fmt.Errorf("core: SequentialLine on %v problem", p.Kind)

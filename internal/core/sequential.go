@@ -17,7 +17,7 @@ import (
 // It uses the Compiled's lazily built Appendix-A model (root-fixing
 // decomposition, capture-wing critical sets), not the full model.
 func (c *Compiled) Sequential(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	p := c.p
 	if p.Kind != instance.KindTree {
 		return nil, fmt.Errorf("core: Sequential on %v problem", p.Kind)

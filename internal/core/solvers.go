@@ -71,28 +71,20 @@ type Options struct {
 	// (0 = 50 million); past it Exact fails with ErrExactTooLarge.
 	// Ignored by every other solver.
 	MaxNodes int64
-	// CompileWorkers bounds the model-build fan-out of any lazy
-	// compilation this solve triggers: 0 keeps the compilation's current
-	// setting (default GOMAXPROCS), 1 (or any negative value) is the
-	// serial oracle path, ≥ 2 caps the goroutine count. Models are
-	// byte-identical at every setting — shard boundaries are fixed
-	// functions of the instance index and all reductions run serially —
-	// so this knob only moves compile wall-clock, never output.
-	// Centralized and distributed drivers alike.
-	CompileWorkers int
 	// Telemetry, when non-nil, records a phase-level span timeline of the
 	// solve — compile (with the model.BuildStats breakdown when this call
-	// performed the build), Phase1 per epoch and stage (steps, raises,
-	// Luby MIS phases), the λ-certificate verification, Phase2 and result
-	// assembly, plus per-superstep round samples for the distributed
-	// drivers. Telemetry is strictly read-only observation: it never
-	// perturbs results (the equivalence suite pins byte-identical output
-	// with and without it), and a nil Telemetry costs only predictable
-	// nil-checks on the hot path (the alloc-budget tests pin warm-solve
-	// allocation counts unchanged). A Trace belongs to one solve call on
-	// one goroutine; concurrent solves need one Trace each. The serving
-	// layer strips Telemetry from cache keys — it never identifies a
-	// result.
+	// performed the build), Phase1 as one span per epoch (its stages,
+	// steps, raises and Luby MIS phases summed into counters; per-stage
+	// step counts are CollectTrace's), the λ-certificate verification,
+	// Phase2 and result assembly, plus per-superstep round samples for the
+	// distributed drivers. Telemetry is strictly read-only observation:
+	// it never perturbs results (the equivalence suite pins byte-identical
+	// output with and without it), and a nil Telemetry costs only
+	// predictable nil-checks on the hot path (the alloc-budget tests pin
+	// warm-solve allocation counts unchanged). A Trace belongs to one
+	// solve call on one goroutine; concurrent solves need one Trace each.
+	// The serving layer strips Telemetry from cache keys — it never
+	// identifies a result.
 	Telemetry *obs.Trace
 }
 
@@ -174,7 +166,7 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 // schedule (λ = 1−ε). This entry point uses the fast centralized driver;
 // see DistributedUnit for the message-passing driver.
 func (c *Compiled) TreeUnit(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	if c.p.Kind != instance.KindTree {
 		return nil, fmt.Errorf("core: TreeUnit on %v problem", c.p.Kind)
 	}
@@ -195,7 +187,7 @@ func (c *Compiled) TreeUnit(opts Options) (*Result, error) {
 // windows (§7, Theorem 7.1): ∆=3 length-doubling layers, λ = 1−ε, bound
 // 4+ε (vs Panconesi–Sozio's 20+ε).
 func (c *Compiled) LineUnit(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	if c.p.Kind != instance.KindLine {
 		return nil, fmt.Errorf("core: LineUnit on %v problem", c.p.Kind)
 	}
@@ -225,7 +217,7 @@ func narrowRule(p *instance.Problem) lp.Rule {
 // problem whose demands all have effective height ≤ 1/2. The guarantee is
 // (2∆²+1)/(1−ε): 73+ε on trees, 19+ε on lines.
 func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	sm, err := telModel(opts.Telemetry, c.fullModel)
 	if err != nil {
 		return nil, err
@@ -235,7 +227,10 @@ func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := NewSchedule(m, NarrowXi(m.Delta, hmin), opts.Epsilon)
+	sched, err := narrowSchedule(m, hmin, opts.Epsilon)
+	if err != nil {
+		return nil, err
+	}
 	bound := float64(2*m.Delta*m.Delta+1) / sched.Lambda
 	return runPhases("narrow", sm, narrowRule(c.p), sched, opts, bound)
 }
@@ -249,7 +244,7 @@ func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
 // demand entirely in one class, which the combining step relies on (§6
 // "Overall Algorithm"); the two sub-models are built once per Compiled.
 func (c *Compiled) Arbitrary(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	tel := opts.Telemetry
 	sp := tel.Begin("compile")
 	wideModel, narrowModel, err := c.splitModels()
@@ -277,7 +272,10 @@ func (c *Compiled) Arbitrary(opts Options) (*Result, error) {
 				hmin = eff
 			}
 		}
-		sched := NewSchedule(m, NarrowXi(m.Delta, hmin), opts.Epsilon)
+		sched, err := narrowSchedule(m, hmin, opts.Epsilon)
+		if err != nil {
+			return nil, err
+		}
 		r, err := runPhases("narrow", narrowModel, narrowRule(c.p), sched, opts,
 			float64(2*m.Delta*m.Delta+1)/sched.Lambda)
 		if err != nil {
@@ -352,7 +350,7 @@ func combinePerNetwork(p *instance.Problem, name string, parts []*Result) (*Resu
 // [16] is not reproduced: the supplied text does not specify its raise
 // rule (see DESIGN.md).
 func (c *Compiled) PanconesiSozioUnit(opts Options) (*Result, error) {
-	opts = c.prep(opts)
+	opts = opts.withDefaults()
 	if c.p.Kind != instance.KindLine {
 		return nil, fmt.Errorf("core: PanconesiSozioUnit is a line-network baseline (got %v)", c.p.Kind)
 	}

@@ -172,50 +172,25 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 	return c
 }
 
-// ring is a fixed-capacity overwrite buffer of ReqRecords.
-type ring struct {
-	buf   []ReqRecord
+// ring is a fixed-capacity overwrite buffer: the completed-request
+// classes keep ReqRecords, the event log Events.
+type ring[T any] struct {
+	buf   []T
 	next  int
 	total uint64
 }
 
-func (r *ring) push(rec ReqRecord) {
+func (r *ring[T]) push(v T) {
 	if len(r.buf) == 0 {
 		return
 	}
-	r.buf[r.next] = rec
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	r.total++
 }
 
-func (r *ring) appendAll(out []ReqRecord) []ReqRecord {
-	n := len(r.buf)
-	if r.total < uint64(n) {
-		n = int(r.total)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.buf[(r.next-1-i+2*len(r.buf))%len(r.buf)])
-	}
-	return out
-}
-
-// eventRing is the Event analogue of ring.
-type eventRing struct {
-	buf   []Event
-	next  int
-	total uint64
-}
-
-func (r *eventRing) push(ev Event) {
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	r.total++
-}
-
-func (r *eventRing) appendAll(out []Event) []Event {
+// appendAll appends the retained entries to out, newest first.
+func (r *ring[T]) appendAll(out []T) []T {
 	n := len(r.buf)
 	if r.total < uint64(n) {
 		n = int(r.total)
@@ -232,10 +207,10 @@ type recorderShard struct {
 	// the index in the handle, Finish swap-removes by it — the per-request
 	// hot path never hashes the id. Debug reads scan; they are rare.
 	active []*Req
-	recent ring
-	slow   ring
-	errs   ring
-	events eventRing
+	recent ring[ReqRecord]
+	slow   ring[ReqRecord]
+	errs   ring[ReqRecord]
+	events ring[Event]
 	_      [24]byte // keep shards off one cache line
 }
 

@@ -223,7 +223,7 @@ func (e *Engine) solveRepeat(ctx context.Context, digest *[sha256.Size]byte) (da
 	if _, ok := e.results.get(ent.key); !ok {
 		return nil, false, nil
 	}
-	err = e.account(ctx, func(rq *obs.Req) error {
+	err = e.account(ctx, e.sloSolve, "solve", func(rq *obs.Req) error {
 		rq.SetPhase(obs.PhaseCacheCheck)
 		e.noteAlgo(rq, ent.algo)
 		e.noteResultHit(rq)

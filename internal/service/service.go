@@ -48,7 +48,7 @@ type Config struct {
 	// Workers bounds concurrently executing solves (default GOMAXPROCS).
 	Workers int
 	// CompileWorkers bounds the model-build fan-out of each compilation
-	// the engine performs (core.Options.CompileWorkers semantics: 0 =
+	// the engine performs (core.Compiled.SetCompileWorkers semantics: 0 =
 	// GOMAXPROCS, 1 = serial). Compilation output never depends on it, so
 	// it is not part of any cache key. Default 0.
 	CompileWorkers int
@@ -382,25 +382,25 @@ func (e *Engine) WritePrometheus(w io.Writer) error {
 // Uptime reports time since New.
 func (e *Engine) Uptime() time.Duration { return time.Since(e.start) }
 
-// problemSource resolves the request's problem into a canonical cache
-// key and a lazy materializer. Inline problems hash their JSON wire
-// form; scenario requests key on (name, effective params, seed) — their
-// generators are deterministic — so cache hits skip generation and
-// hashing entirely.
-func (e *Engine) problemSource(req *Request) (hash string, materialize func() (*instance.Problem, error), err error) {
+// problemSource checks the problem a request names, inline or as a
+// scenario, and returns a lazy materializer for it; field names the
+// inline form in errors ("problem" on /solve, "network" on a session).
+// The demand limit and a scenario's generator limits are checked here,
+// before anything is generated, a cache key formed or a worker slot
+// consumed. A scenario also gets its cache key, (name, effective params,
+// seed) — its generator is deterministic — so cache hits skip generation
+// entirely. An inline problem's key, the hash of its wire form, is left
+// to /solve (hashProblem): a session keys no cache on its network.
+func (e *Engine) problemSource(req *Request, field string) (key string, materialize func() (*instance.Problem, error), err error) {
 	switch {
 	case req.Problem != nil && req.Scenario != "":
-		return "", nil, fmt.Errorf("%w: set either problem or scenario, not both", ErrBadRequest)
+		return "", nil, fmt.Errorf("%w: set either %s or scenario, not both", ErrBadRequest, field)
 	case req.Problem != nil:
 		p := req.Problem
 		if len(p.Demands) > e.cfg.MaxDemands {
 			return "", nil, fmt.Errorf("%w: %d demands exceeds the limit %d", ErrBadRequest, len(p.Demands), e.cfg.MaxDemands)
 		}
-		hash, err = hashProblem(p)
-		if err != nil {
-			return "", nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return hash, func() (*instance.Problem, error) { return p, nil }, nil
+		return "", func() (*instance.Problem, error) { return p, nil }, nil
 	case req.Scenario != "":
 		s, ok := scenario.Get(req.Scenario)
 		if !ok {
@@ -410,17 +410,15 @@ func (e *Engine) problemSource(req *Request) (hash string, materialize func() (*
 		if eff.Demands > e.cfg.MaxDemands {
 			return "", nil, fmt.Errorf("%w: %d demands exceeds the limit %d", ErrBadRequest, eff.Demands, e.cfg.MaxDemands)
 		}
-		// Generator limits are validated eagerly so degenerate sizes are
-		// rejected before a cache key is formed or a worker slot consumed.
 		if err := eff.Validate(); err != nil {
 			return "", nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		hash = fmt.Sprintf("scenario:%s|m=%d|n=%d|r=%d|seed=%d",
+		key = fmt.Sprintf("scenario:%s|m=%d|n=%d|r=%d|seed=%d",
 			s.Name, eff.Demands, eff.Size, eff.Networks, req.ScenarioSeed)
 		seed := req.ScenarioSeed
-		return hash, func() (*instance.Problem, error) { return s.Generate(eff, seed) }, nil
+		return key, func() (*instance.Problem, error) { return s.Generate(eff, seed) }, nil
 	default:
-		return "", nil, fmt.Errorf("%w: a problem or a scenario is required", ErrBadRequest)
+		return "", nil, fmt.Errorf("%w: a %s or a scenario is required", ErrBadRequest, field)
 	}
 }
 
@@ -550,7 +548,7 @@ func (e *Engine) Solve(ctx context.Context, req *Request) (*Response, error) {
 // cache answered the request, and "" otherwise: /solve keeps the bytes
 // of such an answer for the next sight of the same body.
 func (e *Engine) solveMemo(ctx context.Context, req *Request) (resp *Response, hitKey string, err error) {
-	err = e.account(ctx, func(rq *obs.Req) error {
+	err = e.account(ctx, e.sloSolve, "solve", func(rq *obs.Req) error {
 		var err error
 		resp, hitKey, err = e.solve(ctx, rq, req)
 		return err
@@ -558,28 +556,72 @@ func (e *Engine) solveMemo(ctx context.Context, req *Request) (resp *Response, h
 	return resp, hitKey, err
 }
 
-// account is the bookkeeping of one solve-class request around fn: the
-// drain group, the request and error counters, the SLO and the recorder
-// record fn fills. Solve and a repeated /solve body both run through
-// it, so they count alike.
-func (e *Engine) account(ctx context.Context, fn func(rq *obs.Req) error) error {
+// account is the bookkeeping of one engine request around fn: the drain
+// group, the SLO of the request's class (e.sloSolve or e.sloSession) and
+// the recorder record fn fills, which records under endpoint unless the
+// HTTP layer named one. Solve-class requests also count in the request
+// and error counters, which describe /solve and /batch alone. Solve, a
+// repeated /solve body, session event batches and session schedules all
+// run through it, so they count alike.
+func (e *Engine) account(ctx context.Context, slo *obs.SLO, endpoint string, fn func(rq *obs.Req) error) error {
 	if err := e.enter(); err != nil {
 		return err
 	}
 	defer e.wg.Done()
-	e.met.requests.Add(1)
+	counted := slo == e.sloSolve
+	if counted {
+		e.met.requests.Add(1)
+	}
 	begin := time.Now()
-	rq := e.beginReq(ctx, "solve", begin)
+	rq := e.beginReq(ctx, endpoint, begin)
 	err := fn(rq)
 	durNs := time.Since(begin).Nanoseconds()
-	if err != nil {
+	if err != nil && counted {
 		e.met.errors.Add(1)
 	}
 	if accounted, failed := sloAccounting(err); accounted {
-		e.sloSolve.Observe(durNs, failed)
+		slo.Observe(durNs, failed)
 	}
 	rq.Finish(durNs, errMsg(err))
 	return err
+}
+
+// withWorker runs fn holding a worker-pool slot. While it waits the
+// request is in the queued phase, under a "queued" span; a context that
+// expires first leaves a reject event and returns its error. /solve's
+// flight leaders and both session resolves wait here.
+func (e *Engine) withWorker(ctx context.Context, rq *obs.Req, fn func() error) error {
+	rq.SetPhase(obs.PhaseQueued)
+	tel := rq.Trace()
+	qs := tel.Begin("queued")
+	select {
+	case e.sem <- struct{}{}:
+		tel.End(qs)
+	case <-ctx.Done():
+		tel.End(qs)
+		e.rec.Event("reject", rq.ID(), "context expired waiting for a worker slot")
+		return ctx.Err()
+	}
+	defer func() { <-e.sem }()
+	e.met.inFlight.Add(1)
+	defer e.met.inFlight.Add(-1)
+	return fn()
+}
+
+// solverErr classifies the error of a solver run, /solve's or a session
+// event's: a cancelled context stays the caller's; a failed slackness
+// certificate is a solver bug and an exhausted exact budget a limit the
+// server imposed, both server-side; anything else — a violated
+// precondition (wrong problem kind, non-unit heights, non-narrow
+// instances) or a bad session event — is the client's fault.
+func solverErr(err error) error {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return err
+	case errors.Is(err, core.ErrCertificate), errors.Is(err, core.ErrExactTooLarge):
+		return fmt.Errorf("service: %w", err)
+	}
+	return fmt.Errorf("%w: %v", ErrBadRequest, err)
 }
 
 // noteAlgo counts a request under its (registered) algorithm.
@@ -624,9 +666,14 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 		return nil, "", fmt.Errorf("%w: epsilon %g outside [0,1) (0 = default 0.25)", ErrBadRequest, req.Epsilon)
 	}
 
-	hash, materialize, err := e.problemSource(req)
+	hash, materialize, err := e.problemSource(req, "problem")
 	if err != nil {
 		return nil, "", err
+	}
+	if req.Problem != nil {
+		if hash, err = hashProblem(req.Problem); err != nil {
+			return nil, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds, MaxNodes: req.MaxNodes}
 	if opts.MaxNodes <= 0 || opts.MaxNodes > e.cfg.MaxExactNodes {
@@ -692,66 +739,46 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, algo co
 	}
 
 	tel := rq.Trace() // nil unless sampling is enabled — every use below is nil-safe
-
-	// Bounded worker pool: block for a slot, honoring cancellation.
-	rq.SetPhase(obs.PhaseQueued)
-	qs := tel.Begin("queued")
-	select {
-	case e.sem <- struct{}{}:
-		tel.End(qs)
-	case <-ctx.Done():
-		tel.End(qs)
-		e.rec.Event("reject", rq.ID(), "context expired waiting for a worker slot")
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	e.met.inFlight.Add(1)
-	defer e.met.inFlight.Add(-1)
-
-	rq.SetPhase(obs.PhaseCompile)
-	cs := tel.Begin("compiled_model") // cache hit, coalesced wait, or a real compile
-	c, err := e.compiledFor(ctx, rq, hash, materialize)
-	tel.End(cs)
-	if err != nil {
-		return nil, err
-	}
-
-	rq.SetPhase(obs.PhaseSolve)
-	opts.Telemetry = tel // the solver's phase spans nest under this request's tree
-	ss := tel.Begin("solve")
-	begin := time.Now()
-	res, net, err := algo.Run(c, opts)
-	solveNs := time.Since(begin).Nanoseconds()
-	tel.End(ss)
-	e.met.solveNanos.Add(solveNs)
-	e.met.solveLatency.Observe(solveNs)
-	if err != nil {
-		// Precondition failures (wrong problem kind, non-unit heights,
-		// non-narrow instances) are the client's fault; a failed
-		// slackness certificate is a solver bug and an exhausted exact
-		// budget is a server-imposed limit — both stay server-side.
-		if errors.Is(err, core.ErrCertificate) || errors.Is(err, core.ErrExactTooLarge) {
-			return nil, fmt.Errorf("service: %w", err)
+	err = e.withWorker(ctx, rq, func() error {
+		rq.SetPhase(obs.PhaseCompile)
+		cs := tel.Begin("compiled_model") // cache hit, coalesced wait, or a real compile
+		c, err := e.compiledFor(ctx, rq, hash, materialize)
+		tel.End(cs)
+		if err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	// Safety gate: never serve an infeasible selection. A failure here is
-	// a solver bug, not a client error.
-	rq.SetPhase(obs.PhaseVerify)
-	vs := tel.Begin("verify")
-	err = verify.Solution(c.Problem(), res.Selected)
-	tel.End(vs)
-	if err != nil {
-		return nil, fmt.Errorf("service: solver emitted infeasible solution: %w", err)
-	}
-	if err := checkFinite(res); err != nil {
-		return nil, err
-	}
-	rq.SetPhase(obs.PhaseRespond)
 
-	resp = buildResponse(req, c, res, net)
-	e.results.add(key, resp)
-	return resp, nil
+		rq.SetPhase(obs.PhaseSolve)
+		opts.Telemetry = tel // the solver's phase spans nest under this request's tree
+		ss := tel.Begin("solve")
+		begin := time.Now()
+		res, net, err := algo.Run(c, opts)
+		solveNs := time.Since(begin).Nanoseconds()
+		tel.End(ss)
+		e.met.solveNanos.Add(solveNs)
+		e.met.solveLatency.Observe(solveNs)
+		if err != nil {
+			return solverErr(err)
+		}
+		// Safety gate: never serve an infeasible selection. A failure here
+		// is a solver bug, not a client error.
+		rq.SetPhase(obs.PhaseVerify)
+		vs := tel.Begin("verify")
+		err = verify.Solution(c.Problem(), res.Selected)
+		tel.End(vs)
+		if err != nil {
+			return fmt.Errorf("service: solver emitted infeasible solution: %w", err)
+		}
+		if err := checkFinite(res); err != nil {
+			return err
+		}
+		rq.SetPhase(obs.PhaseRespond)
+
+		resp = buildResponse(req.Scenario, len(c.Problem().Demands), res, net)
+		e.results.add(key, resp)
+		return nil
+	})
+	return resp, err
 }
 
 // checkFinite refuses a result JSON cannot carry. The problem's total
@@ -777,20 +804,22 @@ func checkFinite(res *core.Result) error {
 }
 
 // buildResponse assembles the complete, final Response for a solved
-// request. It is the single point where responses are constructed: the
-// pointer it returns enters the memoization cache and is shared by every
-// future equal request, so no field may be written after it returns
-// (the respfreeze analyzer enforces this).
-func buildResponse(req *Request, c *core.Compiled, res *core.Result, net *dist.Stats) *Response {
+// request of demands demands: /solve's, whose scenario it names, or a
+// session schedule's, which names none and has no network cost. It is
+// the single point where responses are constructed: the pointer it
+// returns enters the memoization cache and is shared by every future
+// equal request, so no field may be written after it returns (the
+// respfreeze analyzer enforces this).
+func buildResponse(scenario string, demands int, res *core.Result, net *dist.Stats) *Response {
 	resp := &Response{
 		Algorithm:      res.Name,
-		Scenario:       req.Scenario,
+		Scenario:       scenario,
 		Profit:         res.Profit,
 		DualUpperBound: res.DualUB,
 		CertifiedRatio: res.CertifiedRatio,
 		Bound:          res.Bound,
 		Lambda:         res.Lambda,
-		Demands:        len(c.Problem().Demands),
+		Demands:        demands,
 		Scheduled:      len(res.Selected),
 		Selected:       res.Selected,
 	}

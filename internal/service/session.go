@@ -11,13 +11,11 @@ package service
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
-	"treesched/internal/core"
 	"treesched/internal/instance"
 	"treesched/internal/obs"
 	"treesched/internal/online"
@@ -184,36 +182,23 @@ func (m *sessionManager) remove(id string) bool {
 }
 
 // OpenSession validates the request, materializes the network and
-// registers a new session.
+// registers a new session. The network is checked as /solve checks a
+// problem, before anything is generated.
 func (e *Engine) OpenSession(req *SessionRequest) (*SessionInfo, error) {
 	if err := e.enter(); err != nil {
 		return nil, err
 	}
 	defer e.wg.Done()
 
-	var network *instance.Problem
-	switch {
-	case req.Network != nil && req.Scenario != "":
-		return nil, fmt.Errorf("%w: set either network or scenario, not both", ErrBadRequest)
-	case req.Network != nil:
-		network = req.Network
-	case req.Scenario != "":
-		s, ok := scenario.Get(req.Scenario)
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown scenario %q (see GET /scenarios)", ErrBadRequest, req.Scenario)
-		}
-		p, err := s.Generate(req.ScenarioParams, req.ScenarioSeed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		network = p
-	default:
-		return nil, fmt.Errorf("%w: a network or a scenario is required", ErrBadRequest)
+	_, materialize, err := e.problemSource(&Request{Problem: req.Network, Scenario: req.Scenario,
+		ScenarioSeed: req.ScenarioSeed, ScenarioParams: req.ScenarioParams}, "network")
+	if err != nil {
+		return nil, err
 	}
-	if len(network.Demands) > e.cfg.MaxDemands {
-		return nil, fmt.Errorf("%w: %d initial jobs exceeds the limit %d", ErrBadRequest, len(network.Demands), e.cfg.MaxDemands)
+	network, err := materialize()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-
 	s, err := online.NewSession(network, online.Config{
 		Algo:           req.Algo,
 		Epsilon:        req.Epsilon,
@@ -257,18 +242,12 @@ func (e *Engine) lookupSession(id string) (*online.Session, error) {
 // event-sourced, not transactional). Resolve events execute through the
 // worker pool.
 func (e *Engine) SessionEvents(ctx context.Context, id string, events []online.Event) (*SessionEventsResult, error) {
-	if err := e.enter(); err != nil {
-		return nil, err
-	}
-	defer e.wg.Done()
-	begin := time.Now()
-	rq := e.beginReq(ctx, "session_events", begin)
-	res, err := e.sessionEvents(ctx, rq, id, events)
-	durNs := time.Since(begin).Nanoseconds()
-	if accounted, failed := sloAccounting(err); accounted {
-		e.sloSession.Observe(durNs, failed)
-	}
-	rq.Finish(durNs, errMsg(err))
+	var res *SessionEventsResult
+	err := e.account(ctx, e.sloSession, "session_events", func(rq *obs.Req) error {
+		var err error
+		res, err = e.sessionEvents(ctx, rq, id, events)
+		return err
+	})
 	return res, err
 }
 
@@ -278,77 +257,29 @@ func (e *Engine) sessionEvents(ctx context.Context, rq *obs.Req, id string, even
 	if err != nil {
 		return nil, err
 	}
-	applied := 0
 	for i := range events {
 		if events[i].Op == online.OpResolve {
-			// Solves are the expensive part: bound them by the pool.
-			cachedBefore := s.Stats().CachedResolves
-			var sched *online.Schedule
-			if err := e.withWorker(ctx, func() error {
-				var err error
-				begin := time.Now()
-				sched, err = s.Apply(events[i])
-				resolveNs := time.Since(begin).Nanoseconds()
-				e.met.sessionSolveNanos.Add(resolveNs)
-				e.met.sessionSolveLatency.Observe(resolveNs)
-				return err
-			}); err != nil {
-				return nil, fmt.Errorf("%w (event %d applied-before=%d)", wrapSessionErr(err), i, applied)
-			}
-			cached := e.countResolve(rq, id, s, sched, cachedBefore)
-			// Every newly produced generation passes the feasibility
-			// gate here, so later cached reads can trust it.
-			if !cached {
-				if err := verify.Solution(sched.Problem, sched.Result.Selected); err != nil {
-					return nil, fmt.Errorf("service: session solver emitted infeasible solution: %w", err)
-				}
-			}
-		} else if _, err := s.Apply(events[i]); err != nil {
-			return nil, fmt.Errorf("%w (event %d applied-before=%d)", wrapSessionErr(err), i, applied)
+			_, err = e.resolve(ctx, rq, id, s, func() (*online.Schedule, error) { return s.Apply(events[i]) })
+		} else if _, err = s.Apply(events[i]); err != nil {
+			err = solverErr(err)
 		}
-		applied++
+		if err != nil { // the i events before this one stay applied
+			return nil, fmt.Errorf("%w (event %d applied-before=%d)", err, i, i)
+		}
 		e.met.sessionEvents.Add(1)
 	}
-	return &SessionEventsResult{SessionID: id, Applied: applied, Stats: s.Stats()}, nil
-}
-
-// countResolve classifies one resolve for the metrics — cached (no
-// recompile — detected from the session's own counter; slight skew is
-// possible under concurrent resolves, acceptable for a counter), delta
-// recompile, or full recompile — logs it as a recorder event, and
-// reports whether it was cached.
-func (e *Engine) countResolve(rq *obs.Req, id string, s *online.Session, sched *online.Schedule, cachedBefore int64) bool {
-	e.met.sessionResolves.Add(1)
-	kind, cached := "full", false
-	switch {
-	case s.Stats().CachedResolves > cachedBefore:
-		e.met.sessionCached.Add(1)
-		kind, cached = "cached", true
-	case sched.Incremental:
-		e.met.sessionIncremental.Add(1)
-		kind = "delta"
-	default:
-		e.met.sessionFullCompiles.Add(1)
-	}
-	e.rec.Event("session_resolve", rq.ID(), "session="+id+" kind="+kind)
-	return cached
+	return &SessionEventsResult{SessionID: id, Applied: len(events), Stats: s.Stats()}, nil
 }
 
 // SessionSchedule resolves the session's current job set (committing any
 // staged events) and returns the schedule.
 func (e *Engine) SessionSchedule(ctx context.Context, id string) (*SessionSchedule, error) {
-	if err := e.enter(); err != nil {
-		return nil, err
-	}
-	defer e.wg.Done()
-	begin := time.Now()
-	rq := e.beginReq(ctx, "session_schedule", begin)
-	out, err := e.sessionSchedule(ctx, rq, id)
-	durNs := time.Since(begin).Nanoseconds()
-	if accounted, failed := sloAccounting(err); accounted {
-		e.sloSession.Observe(durNs, failed)
-	}
-	rq.Finish(durNs, errMsg(err))
+	var out *SessionSchedule
+	err := e.account(ctx, e.sloSession, "session_schedule", func(rq *obs.Req) error {
+		var err error
+		out, err = e.sessionSchedule(ctx, rq, id)
+		return err
+	})
 	return out, err
 }
 
@@ -358,34 +289,11 @@ func (e *Engine) sessionSchedule(ctx context.Context, rq *obs.Req, id string) (*
 	if err != nil {
 		return nil, err
 	}
-	var sched *online.Schedule
-	cachedBefore := s.Stats().CachedResolves
-	err = e.withWorker(ctx, func() error {
-		var err error
-		begin := time.Now()
-		sched, err = s.Resolve()
-		resolveNs := time.Since(begin).Nanoseconds()
-		e.met.sessionSolveNanos.Add(resolveNs)
-		e.met.sessionSolveLatency.Observe(resolveNs)
-		return err
-	})
+	sched, err := e.resolve(ctx, rq, id, s, s.Resolve)
 	if err != nil {
-		return nil, wrapSessionErr(err)
+		return nil, err
 	}
-	cached := e.countResolve(rq, id, s, sched, cachedBefore)
-	// The same safety gate /solve applies: never serve an infeasible
-	// selection. The schedule carries the problem it was computed for
-	// (so a concurrent newer generation cannot swap the demand set under
-	// the verification), and each generation is verified exactly once —
-	// cached reads were gated when their schedule was produced.
-	if !cached {
-		if err := verify.Solution(sched.Problem, sched.Result.Selected); err != nil {
-			return nil, fmt.Errorf("service: session solver emitted infeasible solution: %w", err)
-		}
-	}
-
-	res := sched.Result
-	if err := checkFinite(res); err != nil {
+	if err := checkFinite(sched.Result); err != nil {
 		return nil, err
 	}
 	out := &SessionSchedule{
@@ -394,25 +302,60 @@ func (e *Engine) sessionSchedule(ctx context.Context, rq *obs.Req, id string) (*
 		Jobs:        sched.Jobs,
 		Incremental: sched.Incremental,
 		JobIDs:      sched.JobIDs,
-		Response: Response{
-			Algorithm:      res.Name,
-			Profit:         res.Profit,
-			DualUpperBound: res.DualUB,
-			CertifiedRatio: res.CertifiedRatio,
-			Bound:          res.Bound,
-			Lambda:         res.Lambda,
-			Demands:        sched.Jobs,
-			Scheduled:      len(res.Selected),
-			Selected:       res.Selected,
-		},
+		Response:    *buildResponse("", sched.Jobs, sched.Result, nil),
 	}
 	if out.JobIDs == nil {
 		out.JobIDs = []int64{}
 	}
-	if out.Response.Selected == nil {
-		out.Response.Selected = []instance.Inst{}
-	}
 	return out, nil
+}
+
+// resolve is the one resolve step of a session, behind a resolve event
+// and a schedule read alike. run resolves holding a worker slot — solves
+// are the expensive part, so the pool bounds them — timed into the
+// session metrics. The resolve is then counted as cached (no recompile,
+// detected from the session's own counter; slight skew is possible under
+// concurrent resolves, acceptable for a counter), a delta recompile or a
+// full one, and logged as a recorder event. A newly produced generation
+// passes the feasibility gate /solve applies; cached reads were gated
+// when their schedule was produced. The schedule carries the problem it
+// was computed for, so a concurrent newer generation cannot swap the
+// demand set under the verification.
+func (e *Engine) resolve(ctx context.Context, rq *obs.Req, id string, s *online.Session, run func() (*online.Schedule, error)) (*online.Schedule, error) {
+	cachedBefore := s.Stats().CachedResolves
+	var sched *online.Schedule
+	err := e.withWorker(ctx, rq, func() error {
+		rq.SetPhase(obs.PhaseSession)
+		var err error
+		begin := time.Now()
+		sched, err = run()
+		resolveNs := time.Since(begin).Nanoseconds()
+		e.met.sessionSolveNanos.Add(resolveNs)
+		e.met.sessionSolveLatency.Observe(resolveNs)
+		return err
+	})
+	if err != nil {
+		return nil, solverErr(err)
+	}
+	e.met.sessionResolves.Add(1)
+	kind := "full"
+	switch {
+	case s.Stats().CachedResolves > cachedBefore:
+		e.met.sessionCached.Add(1)
+		kind = "cached"
+	case sched.Incremental:
+		e.met.sessionIncremental.Add(1)
+		kind = "delta"
+	default:
+		e.met.sessionFullCompiles.Add(1)
+	}
+	e.rec.Event("session_resolve", rq.ID(), "session="+id+" kind="+kind)
+	if kind != "cached" {
+		if err := verify.Solution(sched.Problem, sched.Result.Selected); err != nil {
+			return nil, fmt.Errorf("service: session solver emitted infeasible solution: %w", err)
+		}
+	}
+	return sched, nil
 }
 
 // CloseSession removes a session explicitly.
@@ -427,32 +370,4 @@ func (e *Engine) CloseSession(id string) error {
 	e.met.sessionsClosed.Add(1)
 	e.rec.Event("session_close", "", id)
 	return nil
-}
-
-// withWorker runs fn holding a worker-pool slot, honoring cancellation
-// while waiting.
-func (e *Engine) withWorker(ctx context.Context, fn func() error) error {
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	e.met.inFlight.Add(1)
-	defer e.met.inFlight.Add(-1)
-	return fn()
-}
-
-// wrapSessionErr classifies online-session errors the same way /solve
-// does: bad events and solver preconditions are the client's fault, but
-// a failed slackness certificate is a solver bug and a cancelled context
-// is the caller's cancellation — neither is a 400.
-func wrapSessionErr(err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	if errors.Is(err, core.ErrCertificate) {
-		return fmt.Errorf("service: %w", err)
-	}
-	return fmt.Errorf("%w: %v", ErrBadRequest, err)
 }
