@@ -26,7 +26,8 @@
 //
 // Responses are deterministic: equal requests (same problem or scenario
 // seed, algorithm and options) return byte-identical JSON, cold or
-// cached. SIGINT/SIGTERM trigger a graceful drain.
+// cached. SIGINT/SIGTERM trigger a graceful drain, bounded as a whole by
+// -drain-timeout: solves still running when it passes are abandoned.
 package main
 
 import (
@@ -122,11 +123,34 @@ func main() {
 	}
 
 	log.Printf("schedserver: draining (up to %s)...", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("schedserver: shutdown: %v", err)
-	}
-	engine.Close()
+	drain(srv, engine.Close, func() int64 { return engine.Metrics().InFlight }, *drainTimeout, log.Printf)
 	log.Printf("schedserver: bye")
+}
+
+// drain runs the shutdown sequence within one budget: srv.Shutdown stops
+// accepting connections and waits for the active handlers, then
+// closeEngine waits for the solves still running. Neither may outlast
+// the deadline: when it passes first, drain logs how many solves
+// inFlight still counts, abandons them and returns, so the process exits
+// on time however long a solve runs. It reports whether everything
+// drained.
+func drain(srv interface{ Shutdown(context.Context) error }, closeEngine func(), inFlight func() int64,
+	timeout time.Duration, logf func(format string, args ...any)) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		logf("schedserver: shutdown: %v", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		closeEngine()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		return true
+	case <-ctx.Done():
+		logf("schedserver: drain budget %s spent; abandoning %d in-flight solves", timeout, inFlight())
+		return false
+	}
 }

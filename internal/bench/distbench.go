@@ -64,8 +64,9 @@ type DistEntry struct {
 	Demands  int    `json:"demands"`
 	Networks int    `json:"networks"`
 	Scale    bool   `json:"scale,omitempty"`
-	// Workers is the pool engine's worker count (GOMAXPROCS at record
-	// time); the goroutine gate is relative to it.
+	// Workers is the pool engine's worker count as the engine chose it,
+	// dist.PoolWorkers of the entry's processor count at the recording
+	// GOMAXPROCS; the goroutine gate is relative to it.
 	Workers int `json:"workers"`
 
 	// The protocol's network cost — identical on both engines by
@@ -195,7 +196,7 @@ func distEntry(pair DistPair, budget time.Duration) (*DistEntry, error) {
 		Demands:  eff.Demands,
 		Networks: eff.Networks,
 		Scale:    pair.Scale,
-		Workers:  runtime.GOMAXPROCS(0),
+		Workers:  dist.PoolWorkers(len(prob.Demands), 0),
 	}
 
 	// One untimed pool run builds the compiled problem's lazy model, which
@@ -304,7 +305,7 @@ func DistSmoke(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	workers := runtime.GOMAXPROCS(0)
+	workers := dist.PoolWorkers(len(prob.Demands), 0)
 	if peak > workers+distGoroutineSlack {
 		return "", fmt.Errorf("bench: smoke %s: peak %d goroutines exceeds workers+%d = %d",
 			name, peak, distGoroutineSlack, workers+distGoroutineSlack)
@@ -331,7 +332,8 @@ const distGoroutineSlack = 16
 //     values meaningful;
 //   - the pool allocations per solve at most 1+regressionTol times the
 //     baseline's, engaged under the same condition: the pool engine's
-//     worker count, and with it its allocations, follows GOMAXPROCS;
+//     worker count (dist.PoolWorkers), and with it its allocations,
+//     follows GOMAXPROCS;
 //   - the pool rounds/sec within the nsCatastropheFactor backstop.
 //
 // Scale-tier entries are exempt from the baseline-relative gates (their

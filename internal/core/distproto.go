@@ -23,9 +23,10 @@ import (
 // each Step call consumes the previous collective's result and produces
 // the next collective request. Written this way, one protocol text runs on
 // both engines behind dist.Run — the sharded worker pool (the default,
-// which carries 10^5-processor networks on GOMAXPROCS goroutines) and the
-// goroutine-per-processor runtime (selected by Options.DistWorkers < 0,
-// the reference semantics and benchmark anchor). The collective sequence
+// which carries 10^5-processor networks on GOMAXPROCS goroutines and a
+// small network on one) and the goroutine-per-processor runtime
+// (selected by Options.DistWorkers < 0, the reference semantics and
+// benchmark anchor). The collective sequence
 // is identical either way, so Stats and selections are byte-identical
 // across engines — a tested invariant, like the centralized/distributed
 // selection equality.
@@ -124,10 +125,11 @@ type distProtocol struct {
 // run executes the protocol on the BSP runtime — communication only
 // between processors sharing a resource — and assembles the merged,
 // certificate-checked result. Options.DistWorkers is dist.Run's workers
-// argument: ≥ 0 runs the sharded worker pool (0 = GOMAXPROCS workers),
-// < 0 the goroutine-per-processor reference. With equal seeds every
-// engine and worker count selects exactly the instances the centralized
-// Phase1/Phase2 pair selects — a tested invariant.
+// argument: ≥ 0 runs the sharded worker pool (0 = sized by the network,
+// dist.PoolWorkers), < 0 the goroutine-per-processor reference. With
+// equal seeds every engine and worker count selects exactly the
+// instances the centralized Phase1/Phase2 pair selects — a tested
+// invariant.
 func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedResult, error) {
 	// Fixed-rounds mode: the paper's deterministic accounting. Every node
 	// runs exactly fixedSteps steps per stage and fixedPhases Luby phases
@@ -247,12 +249,14 @@ type protoEngine struct {
 	p2t          int
 }
 
-// init lays out processor u's dense state: its relevant-edge row, the
-// slots of its owned paths, and the β, phase-2 load and Luby slices over
-// them, in three allocations. It runs once per processor per solve,
-// inside the protocol: kept on the compiled model, the layout would grow
-// every cached model, and no workload solves one compiled model twice
-// under a distributed algorithm.
+// init lays out processor u's dense state: its relevant-edge row and the
+// row's slot table, the slots of its owned paths, and the β, phase-2
+// load, Luby and LHS-cache slices over them, in three allocations. The
+// table is sized from the row's length before duplicates are dropped, so
+// it is at least twice the row and linear in the owned paths. It runs
+// once per processor per solve, inside the protocol: kept on the compiled
+// model, the layout would grow every cached model, and no workload solves
+// one compiled model twice under a distributed algorithm.
 func (e *protoEngine) init(u int) {
 	m, ns := e.m, &e.ns
 	ns.mine = m.InstsOf.Row(int32(u))
@@ -260,14 +264,16 @@ func (e *protoEngine) init(u int) {
 	for _, i := range ns.mine {
 		n += len(m.Paths.Row(i))
 	}
-	ids := make([]int32, 2*n+k+1)
+	size, shift := tableSize(n)
+	ids := make([]int32, 2*n+k+1+size)
 	edges := ids[:0:n]
-	ns.slots, ns.pathOff = ids[n:2*n], ids[2*n:]
+	ns.slots, ns.pathOff, ns.table, ns.shift = ids[n:2*n], ids[2*n:2*n+k+1], ids[2*n+k+1:], shift
 	for _, i := range ns.mine {
 		edges = append(edges, m.Paths.Row(i)...)
 	}
 	slices.Sort(edges)
 	ns.edges = slices.Compact(edges)
+	ns.index()
 	at := int32(0)
 	for x, i := range ns.mine {
 		for _, edge := range m.Paths.Row(i) {
@@ -278,9 +284,11 @@ func (e *protoEngine) init(u int) {
 		ns.pathOff[x+1] = at
 	}
 	r := len(ns.edges)
-	vals := make([]float64, 2*r+k)
-	ns.beta, ns.p2load, e.prio = vals[:r], vals[r:2*r], vals[2*r:]
-	e.undecided = make([]bool, k)
+	vals := make([]float64, 2*r+2*k)
+	ns.beta, ns.p2load, e.prio, ns.lhs = vals[:r], vals[r:2*r], vals[2*r:2*r+k], vals[2*r+k:]
+	flags := make([]bool, 2*k)
+	e.undecided, ns.lhsStale = flags[:k], flags[k:]
+	ns.dualsMoved()
 }
 
 func (e *protoEngine) conflicts(i, j int32) bool {
@@ -360,7 +368,7 @@ func (e *protoEngine) stageTop() dist.Req {
 	e.participating = e.participating[:0]
 	for x, i := range e.ns.mine {
 		if int(e.m.Group[i]) == e.k &&
-			e.dr.lhs(e.m, &e.ns, x) < threshold*e.m.Insts[i].Profit-lp.Tol {
+			e.ns.lhsOf(e.m, e.dr, x) < threshold*e.m.Insts[i].Profit-lp.Tol {
 			e.participating = append(e.participating, int32(x))
 		}
 	}

@@ -118,6 +118,11 @@ func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 	return cfg.run(c.p, m)
 }
 
+// mergedDuals, when non-nil, receives the duals assembleDistributed
+// merged, before the certificate check. It is a test seam: nothing but
+// the core tests sets it, and they run one solve at a time.
+var mergedDuals func(*lp.Duals)
+
 // assembleDistributed merges per-node state into a Result: global duals are
 // reconstructed (and their per-edge copies cross-checked), the slackness
 // certificate verified, and the union of selections collected.
@@ -147,6 +152,9 @@ func assembleDistributed(name string, m *model.Model, rule lp.Rule, sched Schedu
 				return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", e, prev, v)
 			}
 		}
+	}
+	if mergedDuals != nil {
+		mergedDuals(duals)
 	}
 	if len(m.Insts) > 0 {
 		if err := lp.VerifyLambdaSatisfied(rule, m, duals, sched.Lambda); err != nil {

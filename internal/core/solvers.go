@@ -60,12 +60,14 @@ type Options struct {
 	// Multi-stage schedules only. Ignored by centralized drivers.
 	FixedRounds bool
 	// DistWorkers selects the BSP engine of the distributed drivers:
-	// ≥ 0 runs the sharded worker pool (0 = one worker per GOMAXPROCS
-	// core — the default, which carries 100k-processor networks on a
-	// handful of goroutines), < 0 the goroutine-per-processor reference
-	// runtime (the benchmark anchor). Stats and selections are
-	// byte-identical across all settings; only execution cost differs.
-	// Ignored by centralized drivers.
+	// ≥ 0 runs the sharded worker pool, < 0 the goroutine-per-processor
+	// reference runtime (the benchmark anchor). A positive count is the
+	// pool's worker count (capped at the processor count); 0, the
+	// default, sizes the pool by the network (dist.PoolWorkers): one
+	// worker per 2,000 processors, at most GOMAXPROCS, so a small network
+	// runs on one goroutine and a 100k-processor one on GOMAXPROCS.
+	// Stats and selections are byte-identical across all settings; only
+	// execution cost differs. Ignored by centralized drivers.
 	DistWorkers int
 	// MaxNodes caps the search-tree size of the exact branch and bound
 	// (0 = 50 million); past it Exact fails with ErrExactTooLarge.

@@ -91,11 +91,12 @@ type Stats struct {
 // Run executes) and returns the measured network cost.
 //
 // workers selects the engine. workers ≥ 0 runs the sharded worker pool
-// on min(workers, n) goroutines, 0 meaning GOMAXPROCS. workers < 0 runs
-// the goroutine-per-processor reference engine, the blocking coordinator
-// that every pool execution is tested against. Stats and every
-// processor's observation stream are identical on both engines at any
-// worker count.
+// on PoolWorkers(n, workers) goroutines: min(workers, n) for a positive
+// count, and for 0 one worker per minShard processors, at most
+// GOMAXPROCS. workers < 0 runs the goroutine-per-processor reference
+// engine, the blocking coordinator that every pool execution is tested
+// against. Stats and every processor's observation stream are identical
+// on both engines at any worker count.
 //
 // A non-nil rl receives one obs.RoundSample per completed collective:
 // kind, messages, entries, and the wall time since the previous

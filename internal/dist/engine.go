@@ -9,7 +9,8 @@ package dist
 // barrier mutex. Here a processor is instead a *resumable step function*
 // (Proc): W workers each own one contiguous shard of processors and
 // advance them cooperatively, one Step call per processor per collective,
-// so a whole network runs on W ≈ GOMAXPROCS goroutines.
+// so a whole network runs on W ≤ GOMAXPROCS goroutines (PoolWorkers: one
+// per minShard processors, so a small network runs on one).
 //
 // # Round structure and the two-level barrier
 //
@@ -105,22 +106,36 @@ type Proc interface {
 	Step(in In) Req
 }
 
+// minShard is the fewest processors the default rule gives each pool
+// worker. A second worker costs two barrier crossings per collective and
+// splits a round that one core finishes in microseconds, so it pays only
+// once each shard carries real work: on a 2-vCPU host, two workers ran
+// 40–640-processor networks 1.03–1.61× slower than one (1.29× on
+// fresh-pair's 160-processor problem), broke even between 2,000 and
+// 4,000 processors and won from 8,000 on (EXPERIMENTS.md E26).
+const minShard = 2000
+
+// PoolWorkers returns the number of goroutines the pool engine runs a
+// network of n processors on, for Run's workers argument ≥ 0: an explicit
+// count is capped at n, and 0 gives each worker at least minShard
+// processors, min(GOMAXPROCS, max(1, n/minShard)). It is the engine's own
+// rule, exported so a harness can record the worker count that ran.
+func PoolWorkers(n, workers int) int {
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), max(1, n/minShard))
+	}
+	return min(workers, n)
+}
+
 // runPool executes one Proc per processor of tr's communication graph
-// on the sharded worker-pool engine. workers ≤ 0 defaults to GOMAXPROCS;
-// the engine runs on exactly min(workers, n) goroutines regardless of
-// network size.
+// on the sharded worker-pool engine, on exactly PoolWorkers(n, workers)
+// goroutines.
 func runPool(tr *localTransport, workers int, rl *obs.RoundLog, mk func(u int) Proc) Stats {
 	n := len(tr.adj)
 	if n == 0 {
 		return Stats{}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	e := newPoolEngine(tr, n, workers, mk)
+	e := newPoolEngine(tr, n, PoolWorkers(n, workers), mk)
 	e.observe(rl)
 	e.run()
 	return e.stats

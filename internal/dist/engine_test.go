@@ -349,6 +349,41 @@ func TestPoolGoroutineBound(t *testing.T) {
 	}
 }
 
+// TestPoolWorkersDefaultRule pins the default worker count: one worker
+// below 2·minShard processors, min(GOMAXPROCS, n/minShard) from there
+// on, and an explicit count capped only by n. A small network must also
+// really run on one goroutine at any GOMAXPROCS.
+func TestPoolWorkersDefaultRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 40, 160, minShard - 1, minShard, 2*minShard - 1, 2 * minShard, 3 * minShard, 100 * minShard} {
+			want := 1
+			if n >= 2*minShard {
+				want = min(procs, n/minShard)
+			}
+			if got := PoolWorkers(n, 0); got != want {
+				t.Fatalf("GOMAXPROCS %d, %d processors: PoolWorkers(n, 0) = %d, want %d", procs, n, got, want)
+			}
+			if got := PoolWorkers(n, 3); got != min(3, n) {
+				t.Fatalf("GOMAXPROCS %d, %d processors: PoolWorkers(n, 3) = %d, want %d", procs, n, got, min(3, n))
+			}
+		}
+	}
+
+	runtime.GOMAXPROCS(4)
+	for _, n := range []int{160, 3 * minShard} {
+		want := PoolWorkers(n, 0)
+		base := runtime.NumGoroutine()
+		var peak atomic.Int64
+		Run(ring(n), 0, nil, func(u int) Proc { return &goroutineProbeProc{peak: &peak} })
+		if got, limit := peak.Load(), int64(base+want+2); got > limit {
+			t.Fatalf("%d processors at GOMAXPROCS 4: peak %d goroutines, want ≤ %d (base %d + %d workers + 2)",
+				n, got, limit, base, want)
+		}
+	}
+}
+
 type goroutineProbeProc struct {
 	r    int
 	peak *atomic.Int64

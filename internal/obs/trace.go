@@ -138,9 +138,15 @@ func (t *Trace) Add(id SpanID, name string, v int64) {
 	sp.Counters = append(sp.Counters, SpanCounter{Name: name, Value: v})
 }
 
-// AddRounds attaches per-superstep samples from a BSP run.
+// AddRounds attaches per-superstep samples from a BSP run. The first
+// non-empty call keeps samples itself rather than a copy, so the caller
+// hands the slice over and must not write to it afterwards.
 func (t *Trace) AddRounds(samples []RoundSample) {
 	if t == nil || len(samples) == 0 {
+		return
+	}
+	if t.rounds == nil {
+		t.rounds = samples
 		return
 	}
 	t.rounds = append(t.rounds, samples...)

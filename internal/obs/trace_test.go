@@ -120,3 +120,19 @@ func TestTraceExportJSON(t *testing.T) {
 		t.Fatalf("PhaseNs = %d, want %d", got, back.Spans[0].DurNs)
 	}
 }
+
+// TestAddRoundsTakesOverFirstSlice: the first AddRounds keeps the
+// caller's slice without a copy, and a later one appends after it.
+func TestAddRoundsTakesOverFirstSlice(t *testing.T) {
+	tr := NewTrace()
+	first := []RoundSample{{Kind: "exchange", Messages: 3}, {Kind: "aggregate"}}
+	tr.AddRounds(first)
+	if got := tr.Rounds(); len(got) != 2 || &got[0] != &first[0] {
+		t.Fatalf("first AddRounds kept %v, not the caller's slice", got)
+	}
+	tr.AddRounds([]RoundSample{{Kind: "exchange", Messages: 5}})
+	got := tr.Rounds()
+	if len(got) != 3 || got[0].Messages != 3 || got[1].Kind != "aggregate" || got[2].Messages != 5 {
+		t.Fatalf("rounds after two AddRounds = %+v", got)
+	}
+}

@@ -121,10 +121,11 @@ type DistributedResult = core.DistributedResult
 
 // Options configures a solver run (epsilon, seed, trace collection,
 // decomposition choice). For the distributed drivers, DistWorkers picks
-// the BSP engine: the default sharded worker pool runs 100k-processor
-// networks on a handful of goroutines; a negative value selects the
-// goroutine-per-processor reference runtime. Results and network Stats
-// are byte-identical either way.
+// the BSP engine: the default sharded worker pool sizes itself by the
+// network, one goroutine for a small network and at most GOMAXPROCS for
+// a 100k-processor one; a positive value fixes the pool's worker count,
+// and a negative value selects the goroutine-per-processor reference
+// runtime. Results and network Stats are byte-identical either way.
 type Options = core.Options
 
 // SolveTreeUnit runs the (7+ε)-approximation for unit-height demands on
