@@ -32,19 +32,26 @@ func freshPairCaterpillar(seed int64) *instance.Problem {
 // CertifiedRatio and Lambda, and the network cost.
 func appendDistRun(b []byte, label string, r *Result, st *dist.Stats) []byte {
 	b = append(append(b, label...), 0)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Selected)))
-	for _, in := range r.Selected {
-		for _, v := range []int32{in.ID, in.Demand, in.Net, in.U, in.V} {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Profit))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Height))
-	}
+	b = appendInsts(b, r.Selected)
 	for _, f := range []float64{r.Profit, r.DualUB, r.CertifiedRatio, r.Lambda} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
 	for _, v := range []int64{int64(st.Rounds), st.Messages, int64(st.Aggregations), st.Entries} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// appendInsts appends a count and then each instance's ids, endpoints and
+// the float bits of its profit and height to b.
+func appendInsts(b []byte, insts []instance.Inst) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(insts)))
+	for _, in := range insts {
+		for _, v := range []int32{in.ID, in.Demand, in.Net, in.U, in.V} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Profit))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Height))
 	}
 	return b
 }

@@ -15,9 +15,9 @@ import (
 // This file is the shared protocol engine behind every Distributed*
 // driver: the first-phase epoch/stage/step loop with its embedded Luby
 // MIS subprotocol, the dual-raise announcements, and the reverse-stack
-// second phase. A driver contributes only a distProtocol value — name,
-// rule, schedule, bound — mirroring how the centralized drivers in
-// solvers.go are thin configurations of runPhases.
+// second phase. A driver contributes only a variant — name, rule,
+// schedule, bound — the same declaration its centralized twin hands to
+// runPhases.
 //
 // The per-processor body is a *resumable state machine* (a dist.Proc):
 // each Step call consumes the previous collective's result and produces
@@ -112,69 +112,57 @@ func (a *payloadArena) nextSel() *selPayload {
 	return p
 }
 
-// distProtocol parameterizes the engine: a distributed driver is nothing
-// more than a named (rule, schedule, bound) triple over a compiled model.
-type distProtocol struct {
-	name  string
-	rule  lp.Rule
-	sched Schedule
-	opts  Options
-	bound float64
-}
-
-// run executes the protocol on the BSP runtime — communication only
-// between processors sharing a resource — and assembles the merged,
-// certificate-checked result. Options.DistWorkers is dist.Run's workers
-// argument: ≥ 0 runs the sharded worker pool (0 = sized by the network,
-// dist.PoolWorkers), < 0 the goroutine-per-processor reference. With
-// equal seeds every engine and worker count selects exactly the
-// instances the centralized Phase1/Phase2 pair selects — a tested
-// invariant.
-func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedResult, error) {
+// runProtocol runs v as a message-passing protocol on the BSP runtime —
+// communication only between processors sharing a resource — and
+// assembles the merged, certificate-checked result. Options.DistWorkers
+// is dist.Run's workers argument: ≥ 0 runs the sharded worker pool (0 =
+// sized by the network, dist.PoolWorkers), < 0 the
+// goroutine-per-processor reference. With equal seeds every engine and
+// worker count selects exactly the instances the centralized
+// Phase1/Phase2 pair selects — a tested invariant.
+func runProtocol(p *instance.Problem, m *model.Model, v variant, opts Options) (*DistributedResult, error) {
 	// Fixed-rounds mode: the paper's deterministic accounting. Every node
 	// runs exactly fixedSteps steps per stage and fixedPhases Luby phases
 	// per step, in lockstep, with no global aggregation at all.
 	fixedSteps, fixedPhases := 0, 0
-	if cfg.opts.FixedRounds {
-		fixedSteps = cfg.sched.FixedSteps(m)
+	if opts.FixedRounds {
+		fixedSteps = v.sched.FixedSteps(m)
 		if fixedSteps == 0 {
 			return nil, fmt.Errorf("core: FixedRounds requires a multi-stage schedule")
 		}
 		// Luby finishes in O(log N) phases w.h.p. (N = mr instances,
 		// [14]); exceeding the budget is detected and reported.
-		nn := len(m.Insts)
 		fixedPhases = 8
-		for v := nn; v > 0; v >>= 1 {
+		for n := len(m.Insts); n > 0; n >>= 1 {
 			fixedPhases += 4
 		}
 	}
 
-	dr := localRule(cfg.rule)
-	nodes := make([]*nodeState, m.NumDemands)
+	dr := localRule(v.rule)
 	machines := make([]*protoEngine, m.NumDemands)
 	// mk is called once per processor, possibly concurrently for distinct
 	// ids (the pool engine constructs shard-parallel); it touches only
 	// per-id state.
 	mk := func(u int) dist.Proc {
 		e := &protoEngine{
-			cfg:         cfg,
+			sched:       &v.sched,
+			seed:        opts.Seed,
 			m:           m,
 			dr:          dr,
 			fixedSteps:  fixedSteps,
 			fixedPhases: fixedPhases,
 		}
 		e.init(u)
-		nodes[u] = &e.ns
 		machines[u] = e
 		return e
 	}
-	tel := cfg.opts.Telemetry
+	tel := opts.Telemetry
 	var rl *obs.RoundLog
 	if tel != nil {
 		rl = &obs.RoundLog{}
 	}
 	sp := tel.Begin("protocol")
-	stats := dist.Run(p.CommGraph(), cfg.opts.DistWorkers, rl, mk)
+	stats := dist.Run(p.CommGraph(), opts.DistWorkers, rl, mk)
 	if tel != nil {
 		tel.Add(sp, "rounds", int64(stats.Rounds))
 		tel.Add(sp, "aggregations", int64(stats.Aggregations))
@@ -190,7 +178,7 @@ func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedR
 	}
 	sp = tel.Begin("assemble")
 	defer tel.End(sp)
-	return assembleDistributed(cfg.name, m, cfg.rule, cfg.sched, nodes, stats, cfg.bound)
+	return assembleDistributed(m, &v, machines, stats)
 }
 
 // protoState is the resume point of a protocol machine: which collective
@@ -220,7 +208,8 @@ const (
 // lets the priority function and the phase-2 reverse walk agree across
 // the network.
 type protoEngine struct {
-	cfg         *distProtocol
+	sched       *Schedule
+	seed        uint64
 	m           *model.Model
 	dr          distRule
 	ns          nodeState
@@ -305,7 +294,7 @@ func (e *protoEngine) Step(in dist.In) dist.Req {
 	switch e.state {
 	case psStart:
 		e.k, e.j = 1, 1
-		if e.k > e.cfg.sched.Epochs {
+		if e.k > e.sched.Epochs {
 			return e.beginPhase2()
 		}
 		return e.stageTop()
@@ -364,7 +353,7 @@ func (e *protoEngine) fail(err error) dist.Req {
 // network whether anyone has work (adaptive) or consult the fixed step
 // budget (fixed-rounds).
 func (e *protoEngine) stageTop() dist.Req {
-	threshold := e.cfg.sched.Thresholds[e.j-1]
+	threshold := e.sched.Thresholds[e.j-1]
 	e.participating = e.participating[:0]
 	for x, i := range e.ns.mine {
 		if int(e.m.Group[i]) == e.k &&
@@ -392,11 +381,11 @@ func (e *protoEngine) advanceStage() dist.Req {
 	e.totalSteps += e.steps
 	e.steps = 0
 	e.j++
-	if e.j > e.cfg.sched.Stages {
+	if e.j > e.sched.Stages {
 		e.j = 1
 		e.k++
 	}
-	if e.k > e.cfg.sched.Epochs {
+	if e.k > e.sched.Epochs {
 		return e.beginPhase2()
 	}
 	return e.stageTop()
@@ -407,8 +396,8 @@ func (e *protoEngine) advanceStage() dist.Req {
 // issue the first priority round.
 func (e *protoEngine) beginStep() dist.Req {
 	e.steps++
-	if e.steps > e.cfg.sched.MaxSteps {
-		return e.fail(fmt.Errorf("core: distributed stage (%d,%d) exceeded %d steps", e.k, e.j, e.cfg.sched.MaxSteps))
+	if e.steps > e.sched.MaxSteps {
+		return e.fail(fmt.Errorf("core: distributed stage (%d,%d) exceeded %d steps", e.k, e.j, e.sched.MaxSteps))
 	}
 	e.stepCounter++
 	clear(e.undecided)
@@ -428,7 +417,7 @@ func (e *protoEngine) reqPrio() dist.Req {
 	for _, x := range e.participating {
 		if e.undecided[x] {
 			i := e.ns.mine[x]
-			pr := mis.Priority(e.cfg.opts.Seed, i, e.stepCounter, e.phase)
+			pr := mis.Priority(e.seed, i, e.stepCounter, e.phase)
 			e.prio[x] = pr
 			pp.Insts = append(pp.Insts, i)
 			pp.Prios = append(pp.Prios, pr)

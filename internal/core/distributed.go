@@ -10,11 +10,10 @@ import (
 	"treesched/internal/model"
 )
 
-// The distributed drivers in this file are thin configurations of the
-// shared protocol engine in distproto.go: each contributes a rule, a
-// schedule and a bound, exactly as the centralized drivers in solvers.go
-// configure runPhases. The node-local dual arithmetic lives in
-// distrule.go; the synchronous runtime the protocol executes on is
+// The distributed drivers in this file run the variants of solvers.go —
+// the same declaration the centralized drivers run — on the shared
+// protocol engine in distproto.go. The node-local dual arithmetic lives
+// in distrule.go; the synchronous runtime the protocol executes on is
 // internal/dist.
 
 // DistributedResult couples an algorithm Result with the measured network
@@ -35,60 +34,37 @@ type DistributedResult struct {
 // TreeUnit/LineUnit select.
 func (c *Compiled) DistributedUnit(opts Options) (*DistributedResult, error) {
 	opts = opts.withDefaults()
-	p := c.p
-	if !p.UnitHeight() {
+	if !c.p.UnitHeight() {
 		return nil, fmt.Errorf("core: DistributedUnit requires unit heights")
 	}
 	sm, err := telModel(opts.Telemetry, c.fullModel)
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	sched := NewSchedule(m, UnitXi(m.Delta), opts.Epsilon)
 	name := "tree-unit"
-	if p.Kind == instance.KindLine {
+	if c.p.Kind == instance.KindLine {
 		name = "line-unit"
 	}
-	cfg := &distProtocol{
-		name:  name,
-		rule:  lp.Unit{},
-		sched: sched,
-		opts:  opts,
-		bound: float64(m.Delta+1) / sched.Lambda,
-	}
-	return cfg.run(p, m)
+	return runProtocol(c.p, sm.m, unitVariant(name, sm.m, opts.Epsilon), opts)
 }
 
 // DistributedPanconesiSozio runs the single-stage line-network baseline of
 // [15,16] as a message-passing protocol — historically the setting those
-// papers targeted. Unit heights, line networks only.
+// papers targeted. Unit heights, line networks only; its single-stage
+// schedule has no fixed-rounds form.
 func (c *Compiled) DistributedPanconesiSozio(opts Options) (*DistributedResult, error) {
 	opts = opts.withDefaults()
-	p := c.p
-	if p.Kind != instance.KindLine {
-		return nil, fmt.Errorf("core: DistributedPanconesiSozio is a line-network baseline (got %v)", p.Kind)
+	if c.p.Kind != instance.KindLine {
+		return nil, fmt.Errorf("core: DistributedPanconesiSozio is a line-network baseline (got %v)", c.p.Kind)
 	}
-	if !p.UnitHeight() {
+	if !c.p.UnitHeight() {
 		return nil, fmt.Errorf("core: DistributedPanconesiSozio requires unit heights")
-	}
-	if opts.FixedRounds {
-		return nil, fmt.Errorf("core: FixedRounds requires a multi-stage schedule")
 	}
 	sm, err := telModel(opts.Telemetry, c.fullModel)
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	lambda := 1 / (5 + opts.Epsilon)
-	sched := NewSingleStageSchedule(m, lambda)
-	cfg := &distProtocol{
-		name:  "panconesi-sozio-unit",
-		rule:  lp.Unit{},
-		sched: sched,
-		opts:  opts,
-		bound: float64(m.Delta+1) / lambda,
-	}
-	return cfg.run(p, m)
+	return runProtocol(c.p, sm.m, psVariant(sm.m, opts.Epsilon), opts)
 }
 
 // DistributedNarrow runs the §6.1 narrow-instance algorithm as a
@@ -99,23 +75,11 @@ func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	hmin, err := effHMin(m, "DistributedNarrow")
+	v, err := narrowVariant(c.p, sm.m, opts.Epsilon, "DistributedNarrow")
 	if err != nil {
 		return nil, err
 	}
-	sched, err := narrowSchedule(m, hmin, opts.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	cfg := &distProtocol{
-		name:  "narrow",
-		rule:  narrowRule(c.p),
-		sched: sched,
-		opts:  opts,
-		bound: float64(2*m.Delta*m.Delta+1) / sched.Lambda,
-	}
-	return cfg.run(c.p, m)
+	return runProtocol(c.p, sm.m, v, opts)
 }
 
 // mergedDuals, when non-nil, receives the duals assembleDistributed
@@ -123,9 +87,10 @@ func (c *Compiled) DistributedNarrow(opts Options) (*DistributedResult, error) {
 // the core tests sets it, and they run one solve at a time.
 var mergedDuals func(*lp.Duals)
 
-// assembleDistributed merges per-node state into a Result: global duals are
-// reconstructed (and their per-edge copies cross-checked), the slackness
-// certificate verified, and the union of selections collected.
+// assembleDistributed merges the processors' state into a Result: global
+// duals are reconstructed (and their per-edge copies cross-checked), the
+// slackness certificate verified, and the union of selections collected
+// in processor order.
 //
 // β is merged by walking each processor's relevant-edge row in processor
 // order: an edge takes the copy of the first processor that has it, and
@@ -135,45 +100,32 @@ var mergedDuals func(*lp.Duals)
 // are independent and so raise disjoint edges. Every copy of an edge
 // therefore receives the same increments in the same order, and an edge
 // no raise touched is zero in every copy.
-func assembleDistributed(name string, m *model.Model, rule lp.Rule, sched Schedule, nodes []*nodeState, stats dist.Stats, bound float64) (*DistributedResult, error) {
+func assembleDistributed(m *model.Model, v *variant, machines []*protoEngine, stats dist.Stats) (*DistributedResult, error) {
 	duals := lp.NewDuals(m)
 	seen := make([]bool, len(duals.Beta))
-	for u, ns := range nodes {
-		if ns == nil {
+	sel := make([]int32, 0, len(machines))
+	for u, e := range machines {
+		if e == nil {
 			continue
 		}
+		ns := &e.ns
 		duals.Alpha[u] = ns.alpha
-		for s, e := range ns.edges {
-			v := ns.beta[s]
-			if !seen[e] {
-				seen[e] = true
-				duals.Beta[e] = v
-			} else if prev := duals.Beta[e]; math.Abs(prev-v) > 1e-6*(1+math.Abs(prev)) {
-				return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", e, prev, v)
+		for s, edge := range ns.edges {
+			b := ns.beta[s]
+			if !seen[edge] {
+				seen[edge] = true
+				duals.Beta[edge] = b
+			} else if prev := duals.Beta[edge]; math.Abs(prev-b) > 1e-6*(1+math.Abs(prev)) {
+				return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", edge, prev, b)
 			}
 		}
+		sel = append(sel, ns.selected...)
 	}
 	if mergedDuals != nil {
 		mergedDuals(duals)
 	}
-	if len(m.Insts) > 0 {
-		if err := lp.VerifyLambdaSatisfied(rule, m, duals, sched.Lambda); err != nil {
-			return nil, fmt.Errorf("core: %s (distributed): %w: %v", name, ErrCertificate, err)
-		}
+	if err := v.certify(v.name+" (distributed)", m, duals); err != nil {
+		return nil, err
 	}
-	res := &Result{Name: name + "-distributed", Lambda: sched.Lambda, Bound: bound, Model: m}
-	for _, ns := range nodes {
-		if ns == nil {
-			continue
-		}
-		for _, i := range ns.selected {
-			res.Selected = append(res.Selected, m.Insts[i])
-			res.Profit += m.Insts[i].Profit
-		}
-	}
-	res.DualUB = lp.DualObjective(rule, m, duals) / sched.Lambda
-	if res.Profit > 0 {
-		res.CertifiedRatio = res.DualUB / res.Profit
-	}
-	return &DistributedResult{Result: res, Net: stats}, nil
+	return &DistributedResult{Result: v.assemble(v.name+"-distributed", m, duals, sel, nil), Net: stats}, nil
 }

@@ -95,17 +95,15 @@ func scenarioProblems(t *testing.T) map[string]*instance.Problem {
 	return out
 }
 
-// phase1Combo is one (model, rule, schedule) configuration a solver
-// entry point would run.
+// phase1Combo is one (model, variant) configuration a solver entry point
+// would run.
 type phase1Combo struct {
-	name  string
-	m     *model.Model
-	rule  lp.Rule
-	sched Schedule
+	m *model.Model
+	v variant
 }
 
 // phase1Combos lists the combinations the solvers run on a compiled
-// problem, mirroring the entry points' configuration.
+// problem, from the variant declarations the entry points pick.
 func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
 	t.Helper()
 	var combos []phase1Combo
@@ -115,9 +113,9 @@ func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
 		t.Fatal(err)
 	}
 	if p.UnitHeight() {
-		combos = append(combos, phase1Combo{"unit", full, lp.Unit{}, NewSchedule(full, UnitXi(full.Delta), 0.25)})
+		combos = append(combos, phase1Combo{full, unitVariant("unit", full, 0.25)})
 		if p.Kind == instance.KindLine {
-			combos = append(combos, phase1Combo{"ps", full, lp.Unit{}, NewSingleStageSchedule(full, 1/(5+0.25))})
+			combos = append(combos, phase1Combo{full, psVariant(full, 0.25)})
 		}
 	}
 	wide, narrow, err := c.splitModels()
@@ -125,12 +123,11 @@ func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
 		t.Fatal(err)
 	}
 	if len(wide.m.Insts) > 0 {
-		combos = append(combos, phase1Combo{"wide", wide.m, lp.Unit{}, NewSchedule(wide.m, UnitXi(wide.m.Delta), 0.25)})
+		combos = append(combos, phase1Combo{wide.m, unitVariant("wide", wide.m, 0.25)})
 	}
 	if len(narrow.m.Insts) > 0 {
-		nm := narrow.m
-		if hmin, err := effHMin(nm, "equivalence"); err == nil {
-			combos = append(combos, phase1Combo{"narrow", nm, narrowRule(p), NewSchedule(nm, NarrowXi(nm.Delta, hmin), 0.25)})
+		if v, err := narrowVariant(p, narrow.m, 0.25, "equivalence"); err == nil {
+			combos = append(combos, phase1Combo{narrow.m, v})
 		}
 	}
 	return combos
@@ -148,37 +145,37 @@ func TestPhase1MatchesFullRescanReference(t *testing.T) {
 		}
 		for _, combo := range phase1Combos(t, c) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				gotDuals, gotStack, err := Phase1(combo.m, combo.rule, combo.sched, seed, nil)
+				gotDuals, gotStack, err := Phase1(combo.m, combo.v.rule, combo.v.sched, seed, nil)
 				if err != nil {
-					t.Fatalf("%s/%s seed %d: phase1: %v", name, combo.name, seed, err)
+					t.Fatalf("%s/%s seed %d: phase1: %v", name, combo.v.name, seed, err)
 				}
-				wantDuals, wantStack, err := refPhase1(combo.m, combo.rule, combo.sched, seed)
+				wantDuals, wantStack, err := refPhase1(combo.m, combo.v.rule, combo.v.sched, seed)
 				if err != nil {
-					t.Fatalf("%s/%s seed %d: refPhase1: %v", name, combo.name, seed, err)
+					t.Fatalf("%s/%s seed %d: refPhase1: %v", name, combo.v.name, seed, err)
 				}
 				for i := range wantDuals.Alpha {
 					if gotDuals.Alpha[i] != wantDuals.Alpha[i] {
-						t.Fatalf("%s/%s seed %d: α[%d]=%v want %v", name, combo.name, seed, i, gotDuals.Alpha[i], wantDuals.Alpha[i])
+						t.Fatalf("%s/%s seed %d: α[%d]=%v want %v", name, combo.v.name, seed, i, gotDuals.Alpha[i], wantDuals.Alpha[i])
 					}
 				}
 				for e := range wantDuals.Beta {
 					if gotDuals.Beta[e] != wantDuals.Beta[e] {
-						t.Fatalf("%s/%s seed %d: β[%d]=%v want %v", name, combo.name, seed, e, gotDuals.Beta[e], wantDuals.Beta[e])
+						t.Fatalf("%s/%s seed %d: β[%d]=%v want %v", name, combo.v.name, seed, e, gotDuals.Beta[e], wantDuals.Beta[e])
 					}
 				}
 				if len(gotStack) != len(wantStack) {
-					t.Fatalf("%s/%s seed %d: stack len %d want %d", name, combo.name, seed, len(gotStack), len(wantStack))
+					t.Fatalf("%s/%s seed %d: stack len %d want %d", name, combo.v.name, seed, len(gotStack), len(wantStack))
 				}
 				for s := range wantStack {
 					g, w := gotStack[s], wantStack[s]
 					if g.Epoch != w.Epoch || g.Stage != w.Stage || g.Step != w.Step || !reflect.DeepEqual(g.Set, w.Set) {
-						t.Fatalf("%s/%s seed %d: stack[%d] = %+v want %+v", name, combo.name, seed, s, g, w)
+						t.Fatalf("%s/%s seed %d: stack[%d] = %+v want %+v", name, combo.v.name, seed, s, g, w)
 					}
 				}
 				// The selections downstream of identical stacks must agree
 				// too (exercises the pooled phase2 against the wrapper).
 				if got, want := Phase2(combo.m, gotStack), Phase2(combo.m, wantStack); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s seed %d: phase2 %v want %v", name, combo.name, seed, got, want)
+					t.Fatalf("%s/%s seed %d: phase2 %v want %v", name, combo.v.name, seed, got, want)
 				}
 			}
 		}

@@ -11,9 +11,11 @@
 //   - the Panconesi–Sozio single-stage baselines, and
 //   - exact and greedy reference solvers.
 //
-// Every algorithm runs in two interchangeable drivers: a fast centralized
-// driver and a goroutine-per-processor message-passing driver
-// (distributed.go) that produce identical outputs for equal seeds.
+// Every algorithm is declared once, as a variant (solvers.go: raise rule,
+// schedule and bound), and runs in two interchangeable drivers that
+// produce identical outputs for equal seeds: a fast centralized driver
+// and a message-passing driver (distributed.go) on the BSP engines of
+// internal/dist.
 package core
 
 import (

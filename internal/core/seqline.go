@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"treesched/internal/instance"
 	"treesched/internal/lp"
@@ -29,70 +29,16 @@ func (c *Compiled) SequentialLine(opts Options) (*Result, error) {
 	if !p.UnitHeight() {
 		return nil, fmt.Errorf("core: SequentialLine requires unit heights")
 	}
-	tel := opts.Telemetry
-	sm, err := telModel(tel, c.sequentialLineModel)
+	sm, err := telModel(opts.Telemetry, c.sequentialLineModel)
 	if err != nil {
 		return nil, err
 	}
 	m := sm.m
-
-	order := make([]int32, len(m.Insts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if m.Insts[ia].V != m.Insts[ib].V {
-			return m.Insts[ia].V < m.Insts[ib].V
+	v := variant{name: "sequential-line", rule: lp.Unit{}, sched: Schedule{Lambda: 1}, bound: 2}
+	return sequentialPass(sm, v, opts, func(a, b int32) int {
+		if d := cmp.Compare(m.Insts[a].V, m.Insts[b].V); d != 0 {
+			return d
 		}
-		return ia < ib
-	})
-
-	rule := lp.Unit{}
-	duals := lp.NewDuals(m)
-	var trace *Trace
-	if opts.CollectTrace {
-		trace = &Trace{}
-	}
-	var stack []StackEntry
-	step := 0
-	sp := tel.Begin("phase1")
-	for _, i := range order {
-		if lp.Satisfied(rule, m, duals, i, 1.0) {
-			continue
-		}
-		step++
-		delta := rule.Raise(m, duals, i)
-		if trace != nil {
-			trace.Events = append(trace.Events, RaiseEvent{
-				Inst: i, Delta: delta, Epoch: 1, Stage: 1, Step: step,
-			})
-		}
-		stack = append(stack, StackEntry{Epoch: 1, Stage: 1, Step: step, Set: []int32{i}})
-	}
-	if tel != nil {
-		tel.Add(sp, "raises", int64(step))
-	}
-	tel.End(sp)
-	sp = tel.Begin("verify_lambda")
-	if err := lp.VerifyLambdaSatisfied(rule, m, duals, 1.0); err != nil {
-		tel.End(sp)
-		return nil, fmt.Errorf("core: sequential-line (λ=1): %w: %v", ErrCertificate, err)
-	}
-	tel.End(sp)
-	sp = tel.Begin("phase2")
-	sel := Phase2(m, stack)
-	tel.End(sp)
-	sp = tel.Begin("assemble")
-	defer tel.End(sp)
-	res := &Result{Name: "sequential-line", Lambda: 1, Bound: 2, Trace: trace, Model: m}
-	for _, i := range sel {
-		res.Selected = append(res.Selected, m.Insts[i])
-		res.Profit += m.Insts[i].Profit
-	}
-	res.DualUB = lp.DualObjective(rule, m, duals)
-	if res.Profit > 0 {
-		res.CertifiedRatio = res.DualUB / res.Profit
-	}
-	return res, nil
+		return cmp.Compare(a, b)
+	}, func(int32) int { return 1 })
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"treesched/internal/instance"
 	"treesched/internal/lp"
@@ -25,36 +26,44 @@ func (c *Compiled) Sequential(opts Options) (*Result, error) {
 	if !p.UnitHeight() {
 		return nil, fmt.Errorf("core: Sequential requires unit heights")
 	}
-	tel := opts.Telemetry
-	sm, err := telModel(tel, c.sequentialModel)
+	sm, err := telModel(opts.Telemetry, c.sequentialModel)
 	if err != nil {
 		return nil, err
 	}
 	m := sm.m
-
-	var rule lp.Rule = lp.Unit{}
-	bound := 3.0
+	v := variant{name: "sequential", rule: lp.Unit{}, sched: Schedule{Lambda: 1}, bound: 3}
 	if len(p.Trees) == 1 {
-		rule = lp.UnitNoAlpha{}
-		bound = 2.0
+		v.rule, v.bound = lp.UnitNoAlpha{}, 2
 	}
-
 	// σ(T_q): instances of tree q ordered by descending capture depth
-	// (= ascending group), ties by id; trees processed in index order.
+	// (= ascending group), ties by id; trees processed in index order,
+	// one epoch each.
+	return sequentialPass(sm, v, opts, func(a, b int32) int {
+		if d := cmp.Compare(m.Insts[a].Net, m.Insts[b].Net); d != 0 {
+			return d
+		}
+		if d := cmp.Compare(m.Group[a], m.Group[b]); d != 0 {
+			return d
+		}
+		return cmp.Compare(a, b)
+	}, func(i int32) int { return int(m.Insts[i].Net) + 1 })
+}
+
+// sequentialPass runs a λ = 1 sequential algorithm v on sm — Sequential
+// and SequentialLine — and assembles its Result; v's schedule carries only
+// λ = 1, since the pass is its first phase. The pass visits the instances
+// in compare's order, which must break its own ties: each instance not yet
+// 1-satisfied is raised tight and pushed as a singleton step of epoch(i).
+// One pass suffices: raising an instance never lowers any LHS, and every
+// instance is examined in order — exactly the "earliest unsatisfied" loop
+// of Figure 8.
+func sequentialPass(sm *solverModel, v variant, opts Options, compare func(a, b int32) int, epoch func(i int32) int) (*Result, error) {
+	m, tel := sm.m, opts.Telemetry
 	order := make([]int32, len(m.Insts))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if m.Insts[ia].Net != m.Insts[ib].Net {
-			return m.Insts[ia].Net < m.Insts[ib].Net
-		}
-		if m.Group[ia] != m.Group[ib] {
-			return m.Group[ia] < m.Group[ib]
-		}
-		return ia < ib
-	})
+	slices.SortFunc(order, compare)
 
 	duals := lp.NewDuals(m)
 	var trace *Trace
@@ -64,55 +73,32 @@ func (c *Compiled) Sequential(opts Options) (*Result, error) {
 	var stack []StackEntry
 	step := 0
 	sp := tel.Begin("phase1")
-	// One pass suffices: raising an instance never lowers any LHS, and
-	// every instance is examined in σ order — exactly the "earliest
-	// unsatisfied" loop of Figure 8.
 	for _, i := range order {
-		if lp.Satisfied(rule, m, duals, i, 1.0) {
+		if lp.Satisfied(v.rule, m, duals, i, 1.0) {
 			continue
 		}
 		step++
-		delta := rule.Raise(m, duals, i)
+		delta := v.rule.Raise(m, duals, i)
+		k := epoch(i)
 		if trace != nil {
-			trace.Events = append(trace.Events, RaiseEvent{
-				Inst: i, Delta: delta,
-				Epoch: int(m.Insts[i].Net) + 1, Stage: 1, Step: step,
-			})
+			trace.Events = append(trace.Events, RaiseEvent{Inst: i, Delta: delta, Epoch: k, Stage: 1, Step: step})
 		}
-		stack = append(stack, StackEntry{
-			Epoch: int(m.Insts[i].Net) + 1, Stage: 1, Step: step,
-			Set: []int32{i},
-		})
+		stack = append(stack, StackEntry{Epoch: k, Stage: 1, Step: step, Set: []int32{i}})
 	}
 	if tel != nil {
 		tel.Add(sp, "raises", int64(step))
 	}
 	tel.End(sp)
 	sp = tel.Begin("verify_lambda")
-	if err := lp.VerifyLambdaSatisfied(rule, m, duals, 1.0); err != nil {
-		tel.End(sp)
-		return nil, fmt.Errorf("core: sequential (λ=1): %w: %v", ErrCertificate, err)
-	}
+	err := v.certify(v.name+" (λ=1)", m, duals)
 	tel.End(sp)
+	if err != nil {
+		return nil, err
+	}
 	sp = tel.Begin("phase2")
 	sel := Phase2(m, stack)
 	tel.End(sp)
 	sp = tel.Begin("assemble")
 	defer tel.End(sp)
-	res := &Result{
-		Name:   "sequential",
-		Lambda: 1,
-		Bound:  bound,
-		Trace:  trace,
-		Model:  m,
-	}
-	for _, i := range sel {
-		res.Selected = append(res.Selected, m.Insts[i])
-		res.Profit += m.Insts[i].Profit
-	}
-	res.DualUB = lp.DualObjective(rule, m, duals)
-	if res.Profit > 0 {
-		res.CertifiedRatio = res.DualUB / res.Profit
-	}
-	return res, nil
+	return v.assemble(v.name, m, duals, sel, trace), nil
 }

@@ -104,11 +104,89 @@ func (o Options) withDefaults() Options {
 // error, not a client error.
 var ErrCertificate = fmt.Errorf("slackness certificate failed")
 
-// runPhases executes phase 1 + verification + phase 2 on a compiled model
-// and assembles a Result. The solve runs entirely on the solverModel's
-// pooled scratch: everything scratch-aliased (duals, stack, selection) is
-// consumed before the deferred release, and only the Result escapes.
-func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts Options, bound float64) (*Result, error) {
+// variant is one of the paper's algorithms as the §3.2 framework defines
+// it: a dual raise rule, a first-phase schedule and the worst-case bound
+// that the schedule's λ then proves (Lemma 3.1: (∆+1)/λ for the unit
+// rule). runPhases runs a variant centrally and runProtocol as a
+// message-passing protocol, so a rule, a schedule or a bound cannot differ
+// between the two drivers of one algorithm; sequentialPass runs the λ = 1
+// sequential algorithms. name labels the Result and the certificate
+// error.
+type variant struct {
+	name  string
+	rule  lp.Rule
+	sched Schedule
+	bound float64
+}
+
+// unitVariant is the unit-height algorithm of §5 and §7 on m: the
+// multi-stage schedule with ξ = UnitXi(∆), bound (∆+1)/λ — 7+ε on trees
+// (∆ = 6), 4+ε on lines (∆ = 3).
+func unitVariant(name string, m *model.Model, eps float64) variant {
+	sched := NewSchedule(m, UnitXi(m.Delta), eps)
+	return variant{name: name, rule: lp.Unit{}, sched: sched, bound: float64(m.Delta+1) / sched.Lambda}
+}
+
+// narrowVariant is the §6.1 narrow-instance algorithm (Lemma 6.2) on m,
+// with the capacity-aware rule when p declares non-uniform bandwidths: the
+// multi-stage schedule under NarrowXi of the least effective height, bound
+// (2∆²+1)/λ. It refuses a model with an instance wider than 1/2, naming
+// caller, and a schedule past maxStages.
+func narrowVariant(p *instance.Problem, m *model.Model, eps float64, caller string) (variant, error) {
+	hmin, err := effHMin(m, caller)
+	if err != nil {
+		return variant{}, err
+	}
+	sched, err := narrowSchedule(m, hmin, eps)
+	if err != nil {
+		return variant{}, err
+	}
+	var rule lp.Rule = lp.Narrow{}
+	if p.Capacities != nil {
+		rule = lp.Capacitated{}
+	}
+	return variant{name: "narrow", rule: rule, sched: sched, bound: float64(2*m.Delta*m.Delta+1) / sched.Lambda}, nil
+}
+
+// psVariant is the single-stage Panconesi–Sozio baseline on m: one stage
+// per epoch at λ = 1/(5+ε), bound (∆+1)/λ — 20+ε on lines.
+func psVariant(m *model.Model, eps float64) variant {
+	sched := NewSingleStageSchedule(m, 1/(5+eps))
+	return variant{name: "panconesi-sozio-unit", rule: lp.Unit{}, sched: sched, bound: float64(m.Delta+1) / sched.Lambda}
+}
+
+// certify checks the weak-duality certificate of a run of v: duals must
+// λ-satisfy every instance of m. A failure is an ErrCertificate under
+// label.
+func (v *variant) certify(label string, m *model.Model, duals *lp.Duals) error {
+	if err := lp.VerifyLambdaSatisfied(v.rule, m, duals, v.sched.Lambda); err != nil {
+		return fmt.Errorf("core: %s: %w: %v", label, ErrCertificate, err)
+	}
+	return nil
+}
+
+// assemble builds the Result, under name, of a certified run of v on m
+// that selected the instances sel: their profit, the dual bound
+// DualObjective/λ and the certified ratio.
+func (v *variant) assemble(name string, m *model.Model, duals *lp.Duals, sel []int32, trace *Trace) *Result {
+	res := &Result{Name: name, Lambda: v.sched.Lambda, Bound: v.bound, Trace: trace, Model: m}
+	for _, i := range sel {
+		res.Selected = append(res.Selected, m.Insts[i])
+		res.Profit += m.Insts[i].Profit
+	}
+	res.DualUB = lp.DualObjective(v.rule, m, duals) / v.sched.Lambda
+	if res.Profit > 0 {
+		res.CertifiedRatio = res.DualUB / res.Profit
+	}
+	return res
+}
+
+// runPhases runs v centrally on a compiled model: phase 1, the
+// certificate, phase 2 and the Result. The solve runs entirely on the
+// solverModel's pooled scratch: everything scratch-aliased (duals, stack,
+// selection) is consumed before the deferred release, and only the Result
+// escapes.
+func runPhases(sm *solverModel, v variant, opts Options) (*Result, error) {
 	m := sm.m
 	tel := opts.Telemetry
 	var trace *Trace
@@ -118,7 +196,7 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 	sc := sm.acquire()
 	defer sm.release(sc)
 	sp := tel.Begin("phase1")
-	duals, stack, err := phase1(m, sm.misFn(), rule, sched, opts.Seed, trace, tel, sc)
+	duals, stack, err := phase1(m, sm.misFn(), v.rule, v.sched, opts.Seed, trace, tel, sc)
 	if err != nil {
 		tel.End(sp)
 		return nil, err
@@ -128,13 +206,11 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 	}
 	tel.End(sp)
 	sp = tel.Begin("verify_lambda")
-	if len(m.Insts) > 0 {
-		if err := lp.VerifyLambdaSatisfied(rule, m, duals, sched.Lambda); err != nil {
-			tel.End(sp)
-			return nil, fmt.Errorf("core: %s: %w: %v", name, ErrCertificate, err)
-		}
-	}
+	err = v.certify(v.name, m, duals)
 	tel.End(sp)
+	if err != nil {
+		return nil, err
+	}
 	sp = tel.Begin("phase2")
 	sel := phase2(m, stack, sc.load, sc.used, sc.selected[:0])
 	sc.selected = sel
@@ -143,23 +219,8 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 	}
 	tel.End(sp)
 	sp = tel.Begin("assemble")
-	res := &Result{
-		Name:   name,
-		Lambda: sched.Lambda,
-		Bound:  bound,
-		Trace:  trace,
-		Model:  m,
-	}
-	for _, i := range sel {
-		res.Selected = append(res.Selected, m.Insts[i])
-		res.Profit += m.Insts[i].Profit
-	}
-	res.DualUB = lp.DualObjective(rule, m, duals) / sched.Lambda
-	if res.Profit > 0 {
-		res.CertifiedRatio = res.DualUB / res.Profit
-	}
-	tel.End(sp)
-	return res, nil
+	defer tel.End(sp)
+	return v.assemble(v.name, m, duals, sel, trace), nil
 }
 
 // TreeUnit runs the paper's main algorithm (§5, Theorem 5.3): the
@@ -179,10 +240,7 @@ func (c *Compiled) TreeUnit(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	sched := NewSchedule(m, UnitXi(m.Delta), opts.Epsilon)
-	bound := float64(m.Delta+1) / sched.Lambda
-	return runPhases("tree-unit", sm, lp.Unit{}, sched, opts, bound)
+	return runPhases(sm, unitVariant("tree-unit", sm.m, opts.Epsilon), opts)
 }
 
 // LineUnit runs the improved unit-height line-network algorithm with
@@ -200,19 +258,7 @@ func (c *Compiled) LineUnit(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	sched := NewSchedule(m, UnitXi(m.Delta), opts.Epsilon)
-	bound := float64(m.Delta+1) / sched.Lambda
-	return runPhases("line-unit", sm, lp.Unit{}, sched, opts, bound)
-}
-
-// narrowRule selects the capacity-aware rule when the problem declares
-// non-uniform bandwidths.
-func narrowRule(p *instance.Problem) lp.Rule {
-	if p.Capacities != nil {
-		return lp.Capacitated{}
-	}
-	return lp.Narrow{}
+	return runPhases(sm, unitVariant("line-unit", sm.m, opts.Epsilon), opts)
 }
 
 // NarrowOnly runs the §6.1 narrow-instance algorithm (Lemma 6.2) on a
@@ -224,17 +270,11 @@ func (c *Compiled) NarrowOnly(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	hmin, err := effHMin(m, "NarrowOnly")
+	v, err := narrowVariant(c.p, sm.m, opts.Epsilon, "NarrowOnly")
 	if err != nil {
 		return nil, err
 	}
-	sched, err := narrowSchedule(m, hmin, opts.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	bound := float64(2*m.Delta*m.Delta+1) / sched.Lambda
-	return runPhases("narrow", sm, narrowRule(c.p), sched, opts, bound)
+	return runPhases(sm, v, opts)
 }
 
 // Arbitrary runs the combined arbitrary-height algorithm (§6, Theorem 6.3
@@ -256,30 +296,19 @@ func (c *Compiled) Arbitrary(opts Options) (*Result, error) {
 	}
 
 	var parts []*Result
-	if len(wideModel.m.Insts) > 0 {
-		m := wideModel.m
-		sched := NewSchedule(m, UnitXi(m.Delta), opts.Epsilon)
-		r, err := runPhases("wide", wideModel, lp.Unit{}, sched, opts,
-			float64(m.Delta+1)/sched.Lambda)
+	if m := wideModel.m; len(m.Insts) > 0 {
+		r, err := runPhases(wideModel, unitVariant("wide", m, opts.Epsilon), opts)
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, r)
 	}
-	if len(narrowModel.m.Insts) > 0 {
-		m := narrowModel.m
-		hmin := 1.0
-		for i := range m.Insts {
-			if eff := m.EffHeight(int32(i)); eff < hmin {
-				hmin = eff
-			}
-		}
-		sched, err := narrowSchedule(m, hmin, opts.Epsilon)
+	if m := narrowModel.m; len(m.Insts) > 0 {
+		v, err := narrowVariant(c.p, m, opts.Epsilon, "Arbitrary")
 		if err != nil {
 			return nil, err
 		}
-		r, err := runPhases("narrow", narrowModel, narrowRule(c.p), sched, opts,
-			float64(2*m.Delta*m.Delta+1)/sched.Lambda)
+		r, err := runPhases(narrowModel, v, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -363,9 +392,5 @@ func (c *Compiled) PanconesiSozioUnit(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
-	lambda := 1 / (5 + opts.Epsilon)
-	sched := NewSingleStageSchedule(m, lambda)
-	bound := float64(m.Delta+1) / lambda
-	return runPhases("panconesi-sozio-unit", sm, lp.Unit{}, sched, opts, bound)
+	return runPhases(sm, psVariant(sm.m, opts.Epsilon), opts)
 }

@@ -230,19 +230,38 @@ type coordinator struct {
 	aggResult bool        // result of the last completed aggregation
 
 	stats Stats
+	roundClock
+}
 
-	// rl, when non-nil, receives one sample per completed collective;
-	// lastMark anchors each sample's StepNs at the previous completion.
+// roundClock is the round log of either engine: rl, when non-nil,
+// receives one sample per completed collective, and lastMark anchors each
+// sample's StepNs at the previous completion. Each engine samples where a
+// collective completes, with every processor parked, so both append their
+// samples in the same order.
+type roundClock struct {
 	rl       *obs.RoundLog
 	lastMark time.Time
 }
 
 // observe attaches a round log before the first round.
-func (c *coordinator) observe(rl *obs.RoundLog) {
+func (c *roundClock) observe(rl *obs.RoundLog) {
 	c.rl = rl
 	if rl != nil {
 		c.lastMark = time.Now() //schedlint:statsonly anchors RoundSample.StepNs; never read by solver state
 	}
+}
+
+// sample appends one round sample. The caller has checked rl != nil, so
+// the unobserved path never reads the clock.
+func (c *roundClock) sample(kind string, msgs, entries int64) {
+	now := time.Now() //schedlint:statsonly feeds RoundSample.StepNs telemetry only; rounds/messages are clock-free
+	c.rl.Add(obs.RoundSample{
+		Kind:     kind,
+		Messages: msgs,
+		Entries:  entries,
+		StepNs:   now.Sub(c.lastMark).Nanoseconds(),
+	})
+	c.lastMark = now
 }
 
 func newCoordinator(tr *localTransport, n int) *coordinator {
@@ -312,19 +331,6 @@ func (c *coordinator) finishRound() {
 	c.waiting = 0
 	c.seq++
 	c.cond.Broadcast()
-}
-
-// sample appends one round sample. Caller holds c.mu and has checked
-// c.rl != nil, so the unobserved path never reads the clock.
-func (c *coordinator) sample(kind string, msgs, entries int64) {
-	now := time.Now() //schedlint:statsonly feeds RoundSample.StepNs telemetry only; rounds/messages are clock-free
-	c.rl.Add(obs.RoundSample{
-		Kind:     kind,
-		Messages: msgs,
-		Entries:  entries,
-		StepNs:   now.Sub(c.lastMark).Nanoseconds(),
-	})
-	c.lastMark = now
 }
 
 // depart removes a processor whose body returned from the barrier group.

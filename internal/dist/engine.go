@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"treesched/internal/obs"
 )
@@ -181,35 +180,10 @@ type poolEngine struct {
 	senders   []int32 // global ascending sender list of the round
 
 	stats Stats
-
-	// rl, when non-nil, receives one sample per completed collective:
-	// aggregates sample at barrier 1 (combine), exchanges at barrier 2
-	// (tally), once the round's delivery counts exist. Both leader
-	// actions run with every worker parked, so the appends are ordered
-	// exactly like the blocking coordinator's. lastMark anchors StepNs.
-	rl       *obs.RoundLog
-	lastMark time.Time
-}
-
-// observe attaches a round log before the first round.
-func (e *poolEngine) observe(rl *obs.RoundLog) {
-	e.rl = rl
-	if rl != nil {
-		e.lastMark = time.Now() //schedlint:statsonly anchors RoundSample.StepNs; never read by solver state
-	}
-}
-
-// sample appends one round sample. Called only from a barrier leader
-// action with e.rl already checked non-nil.
-func (e *poolEngine) sample(kind string, msgs, entries int64) {
-	now := time.Now() //schedlint:statsonly feeds RoundSample.StepNs telemetry only; rounds/messages are clock-free
-	e.rl.Add(obs.RoundSample{
-		Kind:     kind,
-		Messages: msgs,
-		Entries:  entries,
-		StepNs:   now.Sub(e.lastMark).Nanoseconds(),
-	})
-	e.lastMark = now
+	// Aggregates sample at barrier 1 (combine), exchanges at barrier 2
+	// (tally), once the round's delivery counts exist; both leader
+	// actions run with every worker parked.
+	roundClock
 }
 
 func newPoolEngine(tr *localTransport, n, workers int, mk func(u int) Proc) *poolEngine {

@@ -29,7 +29,6 @@ type Tree struct {
 	adj    [][]int32
 	parent []int32 // parent[v] in the orientation rooted at 0; -1 for root
 	depth  []int32 // depth[0] = 0
-	order  []int32 // preorder of the rooted orientation
 	up     [][]int32
 	logN   int
 }
@@ -64,20 +63,20 @@ func NewTree(n int, edges [][2]int) (*Tree, error) {
 		adj:    adj,
 		parent: make([]int32, n),
 		depth:  make([]int32, n),
-		order:  make([]int32, 0, n),
 	}
 	for i := range t.parent {
 		t.parent[i] = -2 // unvisited
 	}
-	// Iterative DFS from root 0 establishes parents, depths, preorder,
-	// and detects disconnection (unvisited vertices) or cycles (revisit).
+	// Iterative DFS from root 0 establishes parents and depths, and
+	// detects disconnection (unvisited vertices) or cycles (revisit).
 	stack := make([]int32, 0, n)
 	stack = append(stack, 0)
 	t.parent[0] = -1
+	visited := 0
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		t.order = append(t.order, v)
+		visited++
 		for _, w := range adj[v] {
 			if w == t.parent[v] {
 				continue
@@ -90,8 +89,8 @@ func NewTree(n int, edges [][2]int) (*Tree, error) {
 			stack = append(stack, w)
 		}
 	}
-	if len(t.order) != n {
-		return nil, fmt.Errorf("graph: only %d of %d vertices reachable from 0: %w", len(t.order), n, ErrNotATree)
+	if visited != n {
+		return nil, fmt.Errorf("graph: only %d of %d vertices reachable from 0: %w", visited, n, ErrNotATree)
 	}
 	t.buildLCA()
 	return t, nil
@@ -164,10 +163,6 @@ func (t *Tree) Parent(v int) int { return int(t.parent[v]) }
 
 // Depth returns the number of edges from the root (vertex 0) to v.
 func (t *Tree) Depth(v int) int { return int(t.depth[v]) }
-
-// Preorder returns a preorder traversal of the rooted orientation.
-// The returned slice must not be modified.
-func (t *Tree) Preorder() []int32 { return t.order }
 
 // Ancestor returns the k-th ancestor of v (0th is v itself). If k exceeds
 // the depth of v it returns the root.

@@ -57,20 +57,15 @@ func ForTreesSharded(p *instance.Problem, insts []instance.Inst, decomps []*tree
 	return forTrees(p, insts, decomps, false, workers)
 }
 
-// ForTreesCaptureWingsSharded is ForTreesCaptureWings with the sharded
-// row construction of ForTreesSharded.
-func ForTreesCaptureWingsSharded(p *instance.Problem, insts []instance.Inst, decomps []*treedecomp.Decomposition, workers int) (*Assignment, error) {
-	return forTrees(p, insts, decomps, true, workers)
-}
-
-// ForTreesCaptureWings builds the Appendix-A ordering: the same
+// ForTreesCaptureWingsSharded builds the Appendix-A ordering: the same
 // depth-based groups, but π(d) holds only the wings of the capture node
 // µ(d) on path(d), so ∆ ≤ 2 (Observation A.1). Valid for the sequential
 // algorithm, which processes one tree at a time; the distributed layered
 // property across same-depth captures of different nodes does NOT hold
-// for these critical sets.
-func ForTreesCaptureWings(p *instance.Problem, insts []instance.Inst, decomps []*treedecomp.Decomposition) (*Assignment, error) {
-	return forTrees(p, insts, decomps, true, 1)
+// for these critical sets. Rows are built with the sharded construction
+// of ForTreesSharded.
+func ForTreesCaptureWingsSharded(p *instance.Problem, insts []instance.Inst, decomps []*treedecomp.Decomposition, workers int) (*Assignment, error) {
+	return forTrees(p, insts, decomps, true, workers)
 }
 
 func forTrees(p *instance.Problem, insts []instance.Inst, decomps []*treedecomp.Decomposition, wingsOnly bool, workers int) (*Assignment, error) {

@@ -1,20 +1,21 @@
 // Package mis implements Luby's randomized maximal independent set
 // algorithm [Luby 1986], the MIS subroutine named by the paper for its
-// distributed iterations (§5). Two equivalent executions are provided:
+// distributed iterations (§5). The solvers run one pair of equivalent
+// executions, on a reusable Scratch with priorities drawn through the
+// deterministic Priority function:
 //
-//   - Luby: over an explicit conflict graph;
-//   - LubyImplicit: over a clique cover, aggregating priorities per clique
-//     (top-2 minima) so each phase costs O(Σ|clique|) instead of O(edges).
+//   - Scratch.LubyFunc: over an explicit conflict graph;
+//   - Scratch.LubyFuncImplicit: over a clique cover, aggregating
+//     priorities per clique so each phase costs O(Σ|clique|) instead of
+//     O(edges).
 //
-// Both draw per-phase priorities for the undecided vertices in increasing
-// index order from the caller's rng, so with equal seeds they return
-// identical sets — a property the tests rely on.
+// With the same priority function they return identical sets, and the
+// distributed protocol's Luby rounds draw the same priorities — the
+// properties the tests rely on.
 package mis
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 
 	"treesched/internal/conflict"
 )
@@ -28,172 +29,6 @@ const (
 	excluded
 	inactive
 )
-
-// Luby computes a maximal independent set of the subgraph of g induced by
-// active vertices. It returns the set (ascending order) and the number of
-// phases used; each phase corresponds to O(1) communication rounds in the
-// distributed implementation.
-func Luby(g *conflict.Graph, active []bool, rng *rand.Rand) ([]int32, int) {
-	st := make([]state, g.N)
-	remaining := 0
-	for i := range st {
-		if active[i] {
-			st[i] = undecided
-			remaining++
-		} else {
-			st[i] = inactive
-		}
-	}
-	prio := make([]float64, g.N)
-	var mis []int32
-	phases := 0
-	for remaining > 0 {
-		phases++
-		for i := 0; i < g.N; i++ {
-			if st[i] == undecided {
-				prio[i] = rng.Float64()
-			}
-		}
-		// A vertex joins when it beats every undecided neighbor by
-		// (priority, index) order.
-		var winners []int32
-		for i := int32(0); int(i) < g.N; i++ {
-			if st[i] != undecided {
-				continue
-			}
-			best := true
-			for _, j := range g.Adj[i] {
-				if st[j] != undecided {
-					continue
-				}
-				if prio[j] < prio[i] || (prio[j] == prio[i] && j < i) {
-					best = false
-					break
-				}
-			}
-			if best {
-				winners = append(winners, i)
-			}
-		}
-		for _, i := range winners {
-			st[i] = inMIS
-			remaining--
-			mis = append(mis, i)
-		}
-		for _, i := range winners {
-			for _, j := range g.Adj[i] {
-				if st[j] == undecided {
-					st[j] = excluded
-					remaining--
-				}
-			}
-		}
-	}
-	sortInt32(mis)
-	return mis, phases
-}
-
-// LubyImplicit runs the same algorithm over a clique cover. Per phase,
-// each clique computes its two smallest (priority, index) pairs among
-// undecided members; a vertex wins when it is the strict minimum of every
-// clique containing it.
-func LubyImplicit(im *conflict.Implicit, active []bool, rng *rand.Rand) ([]int32, int) {
-	st := make([]state, im.N)
-	remaining := 0
-	for i := range st {
-		if active[i] {
-			st[i] = undecided
-			remaining++
-		} else {
-			st[i] = inactive
-		}
-	}
-	prio := make([]float64, im.N)
-	nc := im.NumCliques()
-	top1 := make([]int32, nc) // index of clique minimum; -1 if none
-	var mis []int32
-	phases := 0
-	better := func(a, b int32) bool {
-		return prio[a] < prio[b] || (prio[a] == prio[b] && a < b)
-	}
-	for remaining > 0 {
-		phases++
-		for i := 0; i < im.N; i++ {
-			if st[i] == undecided {
-				prio[i] = rng.Float64()
-			}
-		}
-		for k := 0; k < nc; k++ {
-			top1[k] = -1
-			for _, i := range im.Clique(int32(k)) {
-				if st[i] != undecided {
-					continue
-				}
-				if top1[k] < 0 || better(i, top1[k]) {
-					top1[k] = i
-				}
-			}
-		}
-		var winners []int32
-		for i := int32(0); int(i) < im.N; i++ {
-			if st[i] != undecided {
-				continue
-			}
-			best := true
-			for _, k := range im.CliquesOf.Row(i) {
-				if top1[k] != i {
-					best = false
-					break
-				}
-			}
-			if best {
-				winners = append(winners, i)
-			}
-		}
-		for _, i := range winners {
-			st[i] = inMIS
-			remaining--
-			mis = append(mis, i)
-		}
-		for _, i := range winners {
-			for _, k := range im.CliquesOf.Row(i) {
-				for _, j := range im.Clique(k) {
-					if st[j] == undecided {
-						st[j] = excluded
-						remaining--
-					}
-				}
-			}
-		}
-	}
-	sortInt32(mis)
-	return mis, phases
-}
-
-// Greedy returns the deterministic lowest-index-first MIS, used as a
-// reference implementation in tests.
-func Greedy(g *conflict.Graph, active []bool) []int32 {
-	st := make([]state, g.N)
-	for i := range st {
-		if !active[i] {
-			st[i] = inactive
-		}
-	}
-	var mis []int32
-	for i := int32(0); int(i) < g.N; i++ {
-		if st[i] != undecided {
-			continue
-		}
-		st[i] = inMIS
-		mis = append(mis, i)
-		for _, j := range g.Adj[i] {
-			if st[j] == undecided {
-				st[j] = excluded
-			}
-		}
-	}
-	return mis
-}
 
 // VerifyMaximalIndependent checks that set is independent in g and maximal
 // within the active subgraph.
@@ -228,8 +63,4 @@ func VerifyMaximalIndependent(g *conflict.Graph, active []bool, set []int32) err
 		}
 	}
 	return nil
-}
-
-func sortInt32(s []int32) {
-	slices.Sort(s)
 }

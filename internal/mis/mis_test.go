@@ -2,6 +2,7 @@ package mis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/conflict"
@@ -20,17 +21,27 @@ func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, *conf
 	return m, conflict.Build(m), conflict.BuildImplicit(m)
 }
 
+// seeded returns a priority function for one Luby run: the solvers'
+// Priority at a fixed step, under seed.
+func seeded(seed int64) func(i int32, phase int) float64 {
+	return func(i int32, phase int) float64 { return Priority(uint64(seed), i, 1, phase) }
+}
+
+func allActive(n int) []bool {
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = true
+	}
+	return active
+}
+
 func TestLubyProducesMaximalIndependentSets(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		_, g, _ := buildGraphs(t, seed)
-		rng := rand.New(rand.NewSource(seed * 31))
-		active := make([]bool, g.N)
-		for i := range active {
-			active[i] = true
-		}
-		set, phases := Luby(g, active, rng)
-		if phases < 1 {
-			t.Fatal("no phases")
+		active := allActive(g.N)
+		set, phases := LubyFunc(g.Adj, active, seeded(seed*31))
+		if phases < 1 || len(set) == 0 {
+			t.Fatalf("seed %d: degenerate MIS: %d phases, %d vertices", seed, phases, len(set))
 		}
 		if err := VerifyMaximalIndependent(g, active, set); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -39,82 +50,66 @@ func TestLubyProducesMaximalIndependentSets(t *testing.T) {
 }
 
 func TestLubyRespectsActiveSubset(t *testing.T) {
-	_, g, _ := buildGraphs(t, 3)
-	rng := rand.New(rand.NewSource(99))
+	_, g, im := buildGraphs(t, 3)
 	active := make([]bool, g.N)
 	for i := 0; i < g.N; i += 2 {
 		active[i] = true
 	}
-	set, _ := Luby(g, active, rng)
-	for _, i := range set {
-		if i%2 != 0 {
-			t.Fatalf("inactive vertex %d selected", i)
+	explicit, _ := LubyFunc(g.Adj, active, seeded(99))
+	implicit, _ := LubyFuncImplicit(im, active, seeded(99))
+	for _, set := range [][]int32{explicit, implicit} {
+		for _, i := range set {
+			if i%2 != 0 {
+				t.Fatalf("inactive vertex %d selected", i)
+			}
 		}
-	}
-	if err := VerifyMaximalIndependent(g, active, set); err != nil {
-		t.Fatal(err)
+		if err := VerifyMaximalIndependent(g, active, set); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestExplicitAndImplicitLubyAgree(t *testing.T) {
+	// One Scratch serves both routines in turn, as in the solvers, so the
+	// explicit set is copied out before the implicit run overwrites it.
+	sc := NewScratch(0, 0)
 	for seed := int64(0); seed < 12; seed++ {
 		_, g, im := buildGraphs(t, seed)
-		active := make([]bool, g.N)
 		rng := rand.New(rand.NewSource(seed))
+		active := make([]bool, g.N)
 		for i := range active {
 			active[i] = rng.Intn(4) > 0
 		}
-		r1 := rand.New(rand.NewSource(1234 + seed))
-		r2 := rand.New(rand.NewSource(1234 + seed))
-		s1, p1 := Luby(g, active, r1)
-		s2, p2 := LubyImplicit(im, active, r2)
+		s1, p1 := sc.LubyFunc(g.Adj, active, seeded(1234+seed))
+		s1 = slices.Clone(s1)
+		s2, p2 := sc.LubyFuncImplicit(im, active, seeded(1234+seed))
 		if p1 != p2 {
 			t.Fatalf("seed %d: phases %d vs %d", seed, p1, p2)
 		}
-		if len(s1) != len(s2) {
-			t.Fatalf("seed %d: sizes %d vs %d", seed, len(s1), len(s2))
+		if !slices.Equal(s1, s2) {
+			t.Fatalf("seed %d: sets %v vs %v", seed, s1, s2)
 		}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("seed %d: element %d: %d vs %d", seed, i, s1[i], s2[i])
-			}
+		if err := VerifyMaximalIndependent(g, active, s1); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-	}
-}
-
-func TestGreedyIsMaximalIndependent(t *testing.T) {
-	_, g, _ := buildGraphs(t, 5)
-	active := make([]bool, g.N)
-	for i := range active {
-		active[i] = true
-	}
-	set := Greedy(g, active)
-	if err := VerifyMaximalIndependent(g, active, set); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestEmptyActiveSet(t *testing.T) {
 	_, g, im := buildGraphs(t, 6)
 	active := make([]bool, g.N)
-	rng := rand.New(rand.NewSource(1))
-	if set, phases := Luby(g, active, rng); len(set) != 0 || phases != 0 {
+	sc := NewScratch(g.N, im.NumCliques())
+	if set, phases := sc.LubyFunc(g.Adj, active, seeded(1)); len(set) != 0 || phases != 0 {
 		t.Fatal("empty active set should need 0 phases")
 	}
-	if set, phases := LubyImplicit(im, active, rng); len(set) != 0 || phases != 0 {
+	if set, phases := sc.LubyFuncImplicit(im, active, seeded(1)); len(set) != 0 || phases != 0 {
 		t.Fatal("implicit: empty active set should need 0 phases")
-	}
-	if set := Greedy(g, active); len(set) != 0 {
-		t.Fatal("greedy on empty active set")
 	}
 }
 
 func TestVerifierCatchesViolations(t *testing.T) {
 	_, g, _ := buildGraphs(t, 7)
-	active := make([]bool, g.N)
-	for i := range active {
-		active[i] = true
-	}
+	active := allActive(g.N)
 	// Non-maximal: empty set with non-empty active graph.
 	if err := VerifyMaximalIndependent(g, active, nil); err == nil {
 		t.Fatal("verifier accepted empty non-maximal set")
@@ -140,40 +135,35 @@ func TestLubyPhaseCountIsLogarithmicish(t *testing.T) {
 	// explosion: expected phases are O(log N) w.h.p., so 10 trials on a
 	// ~60-vertex graph should never need 40 phases.
 	for seed := int64(0); seed < 10; seed++ {
-		_, g, _ := buildGraphs(t, seed+100)
-		active := make([]bool, g.N)
-		for i := range active {
-			active[i] = true
-		}
-		_, phases := Luby(g, active, rand.New(rand.NewSource(seed)))
-		if phases > 40 {
-			t.Fatalf("seed %d: %d phases on %d vertices", seed, phases, g.N)
+		_, g, im := buildGraphs(t, seed+100)
+		active := allActive(g.N)
+		sc := NewScratch(g.N, im.NumCliques())
+		_, explicit := sc.LubyFunc(g.Adj, active, seeded(seed))
+		_, implicit := sc.LubyFuncImplicit(im, active, seeded(seed))
+		if explicit > 40 || implicit > 40 {
+			t.Fatalf("seed %d: %d and %d phases on %d vertices", seed, explicit, implicit, g.N)
 		}
 	}
 }
 
 func BenchmarkLubyExplicit(b *testing.B) {
 	_, g, _ := buildGraphs(b, 1)
-	active := make([]bool, g.N)
-	for i := range active {
-		active[i] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		_, _ = Luby(g, active, rng)
+	active := allActive(g.N)
+	sc := NewScratch(g.N, 0)
+	seed := int64(0)
+	for b.Loop() {
+		seed++
+		sc.LubyFunc(g.Adj, active, seeded(seed))
 	}
 }
 
 func BenchmarkLubyImplicit(b *testing.B) {
 	_, _, im := buildGraphs(b, 1)
-	active := make([]bool, im.N)
-	for i := range active {
-		active[i] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		_, _ = LubyImplicit(im, active, rng)
+	active := allActive(im.N)
+	sc := NewScratch(im.N, im.NumCliques())
+	seed := int64(0)
+	for b.Loop() {
+		seed++
+		sc.LubyFuncImplicit(im, active, seeded(seed))
 	}
 }

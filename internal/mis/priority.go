@@ -1,6 +1,8 @@
 package mis
 
 import (
+	"slices"
+
 	"treesched/internal/conflict"
 )
 
@@ -161,14 +163,18 @@ func (s *Scratch) LubyFuncImplicit(im *conflict.Implicit, active []bool, prio fu
 		}
 		s.compactUndecided()
 	}
-	sortInt32(s.out)
+	slices.Sort(s.out)
 	return s.out, phase
 }
 
-// LubyFunc computes a maximal independent set like Luby, but with
-// priorities supplied by prio(vertex, phase) instead of an rng — the hook
-// the deterministic distributed/centralized equivalence uses. It returns
-// the set (ascending) and the number of phases.
+// LubyFunc computes a maximal independent set of the subgraph of the
+// adjacency lists adj induced by the active vertices. Each phase draws
+// prio(vertex, phase) for the undecided vertices, and a vertex joins when
+// it beats every undecided neighbor by (priority, index) order; the
+// deterministic priorities are what let the distributed and centralized
+// drivers elect the same sets. It returns the set (ascending) and the
+// number of phases, each O(1) communication rounds in the distributed
+// implementation.
 func (s *Scratch) LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
 	s.ensure(len(adj), 0)
 	s.initStates(active)
@@ -210,7 +216,7 @@ func (s *Scratch) LubyFunc(adj [][]int32, active []bool, prio func(i int32, phas
 		}
 		s.compactUndecided()
 	}
-	sortInt32(s.out)
+	slices.Sort(s.out)
 	return s.out, phase
 }
 

@@ -2,6 +2,7 @@ package mis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/conflict"
@@ -69,28 +70,86 @@ func TestLubyFuncExplicitImplicitAgree(t *testing.T) {
 	}
 }
 
+// referenceLuby is a direct transcription of Luby's algorithm: in each
+// phase every undecided vertex takes its priority from that phase's row of
+// table, joins when it beats each undecided neighbor by (priority, index),
+// and the winners' neighbors drop out. The set is returned ascending.
+func referenceLuby(adj [][]int32, active []bool, table func(phase int) []float64) ([]int32, int) {
+	undecided := slices.Clone(active)
+	var set []int32
+	phases := 0
+	for slices.Contains(undecided, true) {
+		phases++
+		p := table(phases)
+		var winners []int32
+		for i := range adj {
+			if !undecided[i] {
+				continue
+			}
+			best := true
+			for _, j := range adj[i] {
+				if undecided[j] && (p[j] < p[i] || (p[j] == p[i] && int(j) < i)) {
+					best = false
+					break
+				}
+			}
+			if best {
+				winners = append(winners, int32(i))
+			}
+		}
+		for _, i := range winners {
+			undecided[i] = false
+			set = append(set, i)
+		}
+		for _, i := range winners {
+			for _, j := range adj[i] {
+				undecided[j] = false
+			}
+		}
+	}
+	slices.Sort(set)
+	return set, phases
+}
+
 func TestLubyFuncMatchesRNGVariantSemantics(t *testing.T) {
-	// LubyFunc with priorities drawn from an rng-lookup table must equal
-	// Luby run with the same table (both use (prio, index) tie-break).
-	rng := rand.New(rand.NewSource(3))
-	p := gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: 15, Unit: true}, rng)
-	m, err := model.Build(p, model.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := conflict.Build(m)
-	active := make([]bool, g.N)
-	for i := range active {
-		active[i] = true
-	}
-	prio := func(i int32, phase int) float64 {
-		return Priority(42, i, 1, phase)
-	}
-	set, phases := LubyFunc(g.Adj, active, prio)
-	if phases < 1 || len(set) == 0 {
-		t.Fatal("degenerate MIS")
-	}
-	if err := VerifyMaximalIndependent(g, active, set); err != nil {
-		t.Fatal(err)
+	// LubyFunc with priorities looked up in an rng-drawn table must elect
+	// the same sets, in the same phases, as the reference run on that
+	// table (both break ties by (priority, index)).
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(3 + seed))
+		p := gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: 15, Unit: true}, rng)
+		m, err := model.Build(p, model.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := conflict.Build(m)
+		active := make([]bool, g.N)
+		for i := range active {
+			active[i] = rng.Intn(6) > 0
+		}
+		var rows [][]float64
+		table := func(phase int) []float64 {
+			for len(rows) < phase {
+				row := make([]float64, g.N)
+				for i := range row {
+					row[i] = rng.Float64()
+				}
+				rows = append(rows, row)
+			}
+			return rows[phase-1]
+		}
+		want, wantPhases := referenceLuby(g.Adj, active, table)
+		got, gotPhases := LubyFunc(g.Adj, active, func(i int32, phase int) float64 {
+			return table(phase)[i]
+		})
+		if gotPhases != wantPhases || !slices.Equal(got, want) {
+			t.Fatalf("seed %d: LubyFunc %v in %d phases, reference %v in %d", seed, got, gotPhases, want, wantPhases)
+		}
+		if len(got) == 0 && slices.Contains(active, true) {
+			t.Fatalf("seed %d: empty MIS on a non-empty active set", seed)
+		}
+		if err := VerifyMaximalIndependent(g, active, got); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -353,15 +353,6 @@ func (m *Model) Conflict(i, j int32) bool {
 	return m.P.Conflict(m.Insts[i], m.Insts[j])
 }
 
-// TotalProfit sums the profits of the given instance indices.
-func (m *Model) TotalProfit(sel []int32) float64 {
-	sum := 0.0
-	for _, i := range sel {
-		sum += m.Insts[i].Profit
-	}
-	return sum
-}
-
 // EffHeight returns the effective (capacity-normalized) height of instance
 // i: max over its path of Height/Cap(e). With uniform unit capacities this
 // is just the height.

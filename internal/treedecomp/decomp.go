@@ -199,9 +199,6 @@ func (d *Decomposition) MaxDepth() int { return d.maxDepth }
 // PivotSize returns θ, the maximum pivot-set cardinality over all nodes.
 func (d *Decomposition) PivotSize() int { return d.maxPivot }
 
-// Children returns the H-children of v. Do not modify.
-func (d *Decomposition) Children(v int) []int32 { return d.children[v] }
-
 // PivotSet returns χ(z) = Γ[C(z)], the T-neighbors of the component of z.
 // Do not modify.
 func (d *Decomposition) PivotSet(z int) []int32 { return d.pivots[z] }
