@@ -1,13 +1,15 @@
-// Package conflict builds the conflict graph over demand instances (§2):
-// two instances conflict when they belong to the same demand or when they
-// are scheduled on the same network and their paths share an edge.
+// Package conflict builds the explicit conflict graph over demand
+// instances (§2): two instances conflict when they belong to the same
+// demand or when they are scheduled on the same network and their paths
+// share an edge.
 //
 // The conflict graph is exactly the graph on which the distributed
 // algorithm computes maximal independent sets (§5, "Distributed
-// Implementation"). Two representations are provided: an explicit
-// adjacency-list Graph, and an Implicit clique cover (one clique per
-// demand, one per edge) that supports Luby-style aggregation without
-// materializing potentially quadratic adjacency.
+// Implementation"). The solvers never materialize it: mis.LubyCover runs
+// on the compiled model's clique cover (one clique per demand, one per
+// edge) in place. The explicit Graph, possibly quadratic in clique sizes,
+// is the oracle the cover routine is held to and what schedtool's stats
+// count.
 package conflict
 
 import (
@@ -22,87 +24,31 @@ type Graph struct {
 	Adj [][]int32
 }
 
-// Implicit is a clique cover of the conflict graph stored in CSR form:
-// the members of each demand form a clique, and the instances active on
-// each edge form a clique. Every conflict edge is covered by at least one
-// clique.
-type Implicit struct {
-	N int
-	// Cliques row k lists the members of clique k; demand cliques come
-	// first, then edge cliques. Cliques of size < 2 are omitted.
-	Cliques model.CSR
-	// CliquesOf row i lists the clique ids containing instance i,
-	// ascending.
-	CliquesOf model.CSR
-}
-
-// BuildImplicit constructs the clique cover from a compiled model. The
-// member lists are copied out of the model's InstsOf/EdgeInsts indexes
-// into two flat arrays — the cover itself adds four allocations total.
-func BuildImplicit(m *model.Model) *Implicit {
-	im := &Implicit{N: len(m.Insts)}
-	nc, total := 0, 0
-	for a := 0; a < m.InstsOf.Rows(); a++ {
-		if l := m.InstsOf.RowLen(int32(a)); l >= 2 {
-			nc++
-			total += l
-		}
-	}
-	for e := 0; e < m.EdgeInsts.Rows(); e++ {
-		if l := m.EdgeInsts.RowLen(int32(e)); l >= 2 {
-			nc++
-			total += l
-		}
-	}
-	im.Cliques = model.CSR{
-		Off:  make([]int32, 1, nc+1),
-		Data: make([]int32, 0, total),
-	}
-	appendClique := func(members []int32) {
-		if len(members) >= 2 {
-			im.Cliques.Data = append(im.Cliques.Data, members...)
-			im.Cliques.Off = append(im.Cliques.Off, int32(len(im.Cliques.Data)))
-		}
-	}
-	for a := 0; a < m.InstsOf.Rows(); a++ {
-		appendClique(m.InstsOf.Row(int32(a)))
-	}
-	for e := 0; e < m.EdgeInsts.Rows(); e++ {
-		appendClique(m.EdgeInsts.Row(int32(e)))
-	}
-	im.CliquesOf = model.InvertCSR(&im.Cliques, im.N)
-	return im
-}
-
-// Clique returns the members of clique id k (demand cliques first).
-func (im *Implicit) Clique(k int32) []int32 {
-	return im.Cliques.Row(k)
-}
-
-// NumCliques returns the total clique count.
-func (im *Implicit) NumCliques() int {
-	return im.Cliques.Rows()
-}
-
-// Build materializes the explicit conflict graph from the clique cover.
-// Instances active on a common edge form cliques, so the output can be
-// quadratic in clique sizes; prefer Implicit for large inputs.
+// Build materializes the explicit conflict graph from the model's own
+// clique cover: instance i's neighbors are the other members of its
+// demand's InstsOf row and of the EdgeInsts row of every edge on its
+// path. Instances active on a common edge form cliques, so the output can
+// be quadratic in clique sizes.
 func Build(m *model.Model) *Graph {
-	im := BuildImplicit(m)
-	g := &Graph{N: im.N, Adj: make([][]int32, im.N)}
-	seen := make([]int32, im.N)
+	n := len(m.Insts)
+	g := &Graph{N: n, Adj: make([][]int32, n)}
+	seen := make([]int32, n)
 	for i := range seen {
 		seen[i] = -1
 	}
-	for i := int32(0); int(i) < im.N; i++ {
+	for i := int32(0); int(i) < n; i++ {
 		seen[i] = i
-		for _, k := range im.CliquesOf.Row(i) {
-			for _, j := range im.Clique(k) {
+		add := func(clique []int32) {
+			for _, j := range clique {
 				if seen[j] != i {
 					seen[j] = i
 					g.Adj[i] = append(g.Adj[i], j)
 				}
 			}
+		}
+		add(m.InstsOf.Row(m.Insts[i].Demand))
+		for _, e := range m.Paths.Row(i) {
+			add(m.EdgeInsts.Row(e))
 		}
 	}
 	return g

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/gen"
@@ -38,17 +39,28 @@ func TestExplicitMatchesPairwisePredicate(t *testing.T) {
 	}
 }
 
+// TestImplicitCoversAllConflicts pins the clique cover mis.LubyCover
+// reads in place: the model's InstsOf rows (one clique per demand) and
+// EdgeInsts rows (one per edge) cover exactly the conflict relation, and
+// each instance lies in its demand's row and in the row of every edge of
+// its path — the cliques LubyCover walks for it.
 func TestImplicitCoversAllConflicts(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		m := buildModel(t, seed, true)
-		im := BuildImplicit(m)
+		n := len(m.Insts)
 		// Union of cliques = conflict relation.
-		adj := make([]map[int32]bool, im.N)
+		adj := make([]map[int32]bool, n)
 		for i := range adj {
 			adj[i] = map[int32]bool{}
 		}
-		for k := int32(0); int(k) < im.NumCliques(); k++ {
-			members := im.Clique(k)
+		var cliques [][]int32
+		for a := int32(0); int(a) < m.InstsOf.Rows(); a++ {
+			cliques = append(cliques, m.InstsOf.Row(a))
+		}
+		for e := int32(0); int(e) < m.EdgeInsts.Rows(); e++ {
+			cliques = append(cliques, m.EdgeInsts.Row(e))
+		}
+		for _, members := range cliques {
 			for _, i := range members {
 				for _, j := range members {
 					if i != j {
@@ -57,8 +69,8 @@ func TestImplicitCoversAllConflicts(t *testing.T) {
 				}
 			}
 		}
-		for i := int32(0); int(i) < im.N; i++ {
-			for j := int32(0); int(j) < im.N; j++ {
+		for i := int32(0); int(i) < n; i++ {
+			for j := int32(0); int(j) < n; j++ {
 				if i == j {
 					continue
 				}
@@ -68,18 +80,14 @@ func TestImplicitCoversAllConflicts(t *testing.T) {
 				}
 			}
 		}
-		// CliquesOf must be the exact inverse of Clique membership.
-		for i := int32(0); int(i) < im.N; i++ {
-			for _, k := range im.CliquesOf.Row(i) {
-				found := false
-				for _, j := range im.Clique(k) {
-					if j == i {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("CliquesOf[%d] lists clique %d that does not contain it", i, k)
+		// The cliques LubyCover walks for i must contain i.
+		for i := int32(0); int(i) < n; i++ {
+			if !slices.Contains(m.InstsOf.Row(m.Insts[i].Demand), i) {
+				t.Fatalf("instance %d missing from its demand's clique", i)
+			}
+			for _, e := range m.Paths.Row(i) {
+				if !slices.Contains(m.EdgeInsts.Row(e), i) {
+					t.Fatalf("instance %d missing from the clique of edge %d on its path", i, e)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,37 +24,48 @@ import (
 // All models reachable from a Compiled are immutable after construction,
 // so a single Compiled may serve concurrent solves.
 
-// solverModel couples a compiled model with its lazily built MIS routine
-// — so repeated solves skip conflict-structure construction (the explicit
-// conflict graph is the quadratic part of compilation) — and a pool of
-// solve scratches, so a warm solve reuses duals, active flags, stacks and
-// MIS buffers instead of reallocating them (see solveScratch).
+// solverModel couples a compiled model with a pool of solve scratches,
+// so a warm solve reuses duals, active flags, stacks and MIS buffers
+// instead of reallocating them (see solveScratch). The Luby MIS needs no
+// structure of its own: it reads the model's clique cover in place.
 type solverModel struct {
-	m        *model.Model
-	stats    model.BuildStats // per-phase build cost of m (zero for copies)
-	once     sync.Once
-	mis      misFunc
-	ncliques int
-	pool     sync.Pool // *solveScratch
-}
+	m     *model.Model
+	stats model.BuildStats // per-phase build cost of m (zero for copies)
+	pool  sync.Pool        // *solveScratch
 
-func (sm *solverModel) misFn() misFunc {
-	sm.once.Do(func() { sm.mis, sm.ncliques = newMISFunc(sm.m) })
-	return sm.mis
+	// order is the sequential pass's visiting order, sorted once: it
+	// depends on the model alone (see visitOrder).
+	orderOnce sync.Once
+	order     []int32
 }
 
 // acquire returns a scratch sized for this model, reusing a pooled one
 // when available. release returns it after the solve has finished with
 // every scratch-aliased value (duals, stack, selection).
 func (sm *solverModel) acquire() *solveScratch {
-	sm.misFn() // ensure ncliques is resolved
 	if v := sm.pool.Get(); v != nil {
 		return v.(*solveScratch)
 	}
-	return newSolveScratch(sm.m, sm.ncliques)
+	return newSolveScratch(sm.m)
 }
 
 func (sm *solverModel) release(sc *solveScratch) { sm.pool.Put(sc) }
+
+// visitOrder returns the model's instances sorted by compare, sorting
+// them on the first call only: a sequential pass's order depends on the
+// model alone, and each solverModel serves one sequential algorithm, so
+// every call passes the same compare.
+func (sm *solverModel) visitOrder(compare func(m *model.Model, a, b int32) int) []int32 {
+	sm.orderOnce.Do(func() {
+		m := sm.m
+		sm.order = make([]int32, len(m.Insts))
+		for i := range sm.order {
+			sm.order[i] = int32(i)
+		}
+		slices.SortFunc(sm.order, func(a, b int32) int { return compare(m, a, b) })
+	})
+	return sm.order
+}
 
 // lazyModel builds a solverModel at most once. Build errors are cached
 // too — they are deterministic properties of the problem, so retrying
@@ -338,8 +350,8 @@ func (c *Compiled) seqHint() []*treedecomp.Decomposition {
 // When the full model of c has been built and the delta is below the
 // churn threshold, the new model is rebuilt incrementally
 // (model.WithDelta): rows of surviving demands are copied, only added
-// demands pay tree walks and path materialization, the conflict clique
-// cover is repacked from the rebuilt indexes, and a pooled solver
+// demands pay tree walks and path materialization, the rebuilt indexes
+// are the conflict clique cover the Luby MIS reads, and a pooled solver
 // scratch migrates from c so the re-solve allocates like a warm solve.
 // Past the threshold — or when c was never solved — it falls back to a
 // full recompile that still reuses the tree decompositions. Either way

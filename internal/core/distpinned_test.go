@@ -281,3 +281,70 @@ func BenchmarkDistributedUnitWorkers(b *testing.B) {
 		}
 	}
 }
+
+// TestDistributedNamesBoundsRefusalsPinned pins what
+// TestDistributedOutputsPinned leaves out of its digests: each
+// distributed entry's Result.Name, the float bits of its Bound, and the
+// text of every precondition it refuses. It runs dist-unit, dist-narrow
+// and dist-ps, adaptive and fixed-rounds, on unit and narrow problems of
+// both network kinds, so the digest holds the refusals of dist-unit and
+// dist-ps on non-unit heights, of dist-ps on a tree problem and with
+// fixed rounds, and of dist-narrow on heights above 1/2; the named cases
+// must refuse whatever the digest.
+func TestDistributedNamesBoundsRefusalsPinned(t *testing.T) {
+	const pinned = "33875476716b6d54e4bc7baf0222205b59ea77a8b47a8fbc2ae5f367f5c30bbc"
+	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	narrow := gen.TreeConfig{N: 32, Trees: 2, Demands: 6, HMin: 0.25, HMax: 0.5, PMin: 1, PMax: 2}
+	capNarrow := narrow
+	capNarrow.Capacity, capNarrow.CapJitter = 1.6, 0.5
+	problems := []struct {
+		name string
+		p    *instance.Problem
+	}{
+		{"unit-tree", gen.TreeProblem(gen.TreeConfig{N: 32, Trees: 3, Demands: 12, Unit: true}, rng(1))},
+		{"unit-line", gen.LineProblem(gen.LineConfig{Slots: 48, Resources: 3, Demands: 12, Unit: true}, rng(2))},
+		{"narrow-tree", gen.TreeProblem(narrow, rng(3))},
+		{"cap-narrow-tree", gen.TreeProblem(capNarrow, rng(4))},
+		{"narrow-line", gen.LineProblem(gen.LineConfig{Slots: 32, Resources: 2, Demands: 6, HMin: 0.25, HMax: 0.5, PMin: 1, PMax: 2}, rng(5))},
+	}
+	mustRefuse := map[string]bool{
+		"narrow-tree/dist-unit/adaptive": true, // non-unit heights
+		"narrow-line/dist-ps/adaptive":   true, // non-unit heights
+		"unit-tree/dist-ps/adaptive":     true, // a tree problem
+		"unit-line/dist-ps/fixed":        true, // fixed rounds
+		"unit-tree/dist-narrow/adaptive": true, // heights above 1/2
+	}
+	h := sha256.New()
+	refused := 0
+	for _, pc := range problems {
+		c, err := Compile(pc.p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		for _, name := range []string{"dist-narrow", "dist-ps", "dist-unit"} {
+			a, _ := Lookup(name)
+			for _, fixed := range []bool{false, true} {
+				label := pc.name + "/" + name + "/adaptive"
+				if fixed {
+					label = pc.name + "/" + name + "/fixed"
+				}
+				b := append([]byte(label), 0)
+				r, _, err := a.Run(c, Options{Epsilon: 0.25, Seed: 7, FixedRounds: fixed})
+				if err != nil {
+					b = append(append(b, "error: "...), err.Error()...)
+					refused++
+				} else {
+					b = append(append(b, r.Name...), 0)
+					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Bound))
+				}
+				if mustRefuse[label] && err == nil {
+					t.Errorf("%s: solved (%s), want a refusal", label, r.Name)
+				}
+				h.Write(b)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinned {
+		t.Fatalf("distributed names, bounds and %d refusals hash to %s, pinned %s", refused, got, pinned)
+	}
+}

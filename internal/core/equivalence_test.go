@@ -15,11 +15,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"treesched/internal/conflict"
 	"treesched/internal/dist"
+	"treesched/internal/gen"
 	"treesched/internal/instance"
 	"treesched/internal/lp"
 	"treesched/internal/mis"
@@ -289,6 +291,65 @@ func TestWarmSolveAllocations(t *testing.T) {
 		if avg > tc.maxAlloc {
 			t.Errorf("%s/%s: %.1f allocs/solve on the warm path, budget %g",
 				tc.scenario, tc.algo, avg, tc.maxAlloc)
+		}
+	}
+}
+
+// TestWarmSequentialAllocations pins the warm allocations of the λ = 1
+// sequential pass, which runs on the solverModel's pooled scratch and its
+// once-sorted visiting order as runPhases does. On fresh-pair's binary
+// and line families (160 demands) sequential and seq-line allocate 9 and
+// 10 times per warm solve, as tree-unit and line-unit do on the same
+// problems, where a pass that allocated its order, duals, stack and
+// singleton sets per solve paid 125 and 590. The budget leaves room for
+// the race detector, whose sync.Pool drops pooled scratches at random:
+// under -race both pairs read 11–35. A traced warm solve must equal a
+// cold one, raise for raise.
+func TestWarmSequentialAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	binary := gen.TreeProblem(gen.TreeConfig{N: 64, Trees: 4, Demands: 160, Shape: gen.ShapeBinary, Unit: true, AccessProb: 0.6}, rng)
+	line := gen.LineProblem(gen.LineConfig{Slots: 64, Resources: 4, Demands: 160, Unit: true, AccessProb: 0.6, MaxProc: 6, Slack: 6}, rng)
+	const budget = 32
+	for _, tc := range []struct {
+		p           *instance.Problem
+		algo, paper string
+	}{{binary, "sequential", "tree-unit"}, {line, "seq-line", "line-unit"}} {
+		c, err := Compile(tc.p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := func(name string) float64 {
+			a, _ := Lookup(name)
+			solve := func() {
+				if _, _, err := a.Run(c, Options{Seed: 1}); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			solve() // build the lazy model, its order and a pooled scratch
+			return testing.AllocsPerRun(20, solve)
+		}
+		seq, paper := warm(tc.algo), warm(tc.paper)
+		if seq > budget {
+			t.Errorf("%s: %.1f allocs per warm solve, budget %d (%s: %.1f)", tc.algo, seq, budget, tc.paper, paper)
+		}
+		t.Logf("%s %.1f allocs per warm solve, %s %.1f", tc.algo, seq, tc.paper, paper)
+
+		// A traced solve on the pooled scratch must record the raises a
+		// cold one records: duals left over from the last solve would
+		// satisfy every instance, and the stale stack would still give
+		// the same selection.
+		a, _ := Lookup(tc.algo)
+		fresh, err := Compile(tc.p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmRes, _, warmErr := a.Run(c, Options{Seed: 1, CollectTrace: true})
+		coldRes, _, coldErr := a.Run(fresh, Options{Seed: 1, CollectTrace: true})
+		if warmErr != nil || coldErr != nil {
+			t.Fatalf("%s: %v, %v", tc.algo, warmErr, coldErr)
+		}
+		if len(coldRes.Trace.Events) == 0 || !reflect.DeepEqual(warmRes.Trace, coldRes.Trace) || !SameSelection(warmRes, coldRes) {
+			t.Errorf("%s: a warm traced solve records %d raises, a cold one %d", tc.algo, len(warmRes.Trace.Events), len(coldRes.Trace.Events))
 		}
 	}
 }

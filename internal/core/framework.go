@@ -23,7 +23,6 @@ import (
 	"math"
 	"slices"
 
-	"treesched/internal/conflict"
 	"treesched/internal/lp"
 	"treesched/internal/mis"
 	"treesched/internal/model"
@@ -202,40 +201,6 @@ type StackEntry struct {
 	Set                []int32
 }
 
-// implicitThreshold is the instance count above which Phase1 switches from
-// the explicit conflict graph (cliques materialized as adjacency, possibly
-// quadratic) to clique-cover aggregation. The two paths compute identical
-// sets (see mis.LubyFuncImplicit). The cover costs O(Σ|clique|) to build
-// where the adjacency is quadratic in clique sizes, and since the Luby
-// routines walk only the undecided frontier the per-solve costs are
-// comparable — so the cold path prefers the cover for everything but tiny
-// models, where the densest adjacency is still a handful of cache lines.
-const implicitThreshold = 32
-
-// misFunc computes a maximal independent set of the active instances
-// under the given priority function, returning the set and the number of
-// Luby phases used. The returned set aliases the scratch and is
-// overwritten by the next call.
-type misFunc func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int)
-
-// newMISFunc builds the MIS routine for m, choosing the explicit or
-// implicit conflict representation by instance count, and reports the
-// clique count the routine's scratch must be sized for (0 for the
-// explicit path). Building the conflict structure is the expensive part;
-// Compiled caches the returned closure so repeated solves pay it once.
-func newMISFunc(m *model.Model) (misFunc, int) {
-	if len(m.Insts) > implicitThreshold {
-		im := conflict.BuildImplicit(m)
-		return func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int) {
-			return sc.LubyFuncImplicit(im, active, prio)
-		}, im.NumCliques()
-	}
-	cg := conflict.Build(m)
-	return func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int) {
-		return sc.LubyFunc(cg.Adj, active, prio)
-	}, 0
-}
-
 // solveScratch holds every reusable buffer of one centralized solve:
 // duals, the Phase1 active flags and recheck stamps, the stack and its
 // set arena, the Phase2 feasibility state, and the Luby scratch. A warm
@@ -262,10 +227,10 @@ type solveScratch struct {
 	load     []float64
 	used     []bool
 	selected []int32
-	mis      *mis.Scratch
+	mis      mis.Scratch
 }
 
-func newSolveScratch(m *model.Model, numCliques int) *solveScratch {
+func newSolveScratch(m *model.Model) *solveScratch {
 	n := len(m.Insts)
 	return &solveScratch{
 		duals: lp.Duals{
@@ -278,7 +243,6 @@ func newSolveScratch(m *model.Model, numCliques int) *solveScratch {
 		dirty:  make([]bool, n),
 		load:   make([]float64, m.EdgeSpace),
 		used:   make([]bool, m.NumDemands),
-		mis:    mis.NewScratch(n, numCliques),
 	}
 }
 
@@ -296,7 +260,7 @@ func grow[T any](s []T, n int) []T {
 // the delta-recompilation path hands the parent compilation's scratch to
 // the child, so a small-churn re-solve keeps its warm allocation profile
 // even though every dimension (instances, demands, cliques) may have
-// shifted slightly. The Luby scratch resizes itself per call.
+// shifted slightly. The Luby scratch sizes itself per call.
 func (sc *solveScratch) adapt(m *model.Model) {
 	n := len(m.Insts)
 	sc.duals.Alpha = grow(sc.duals.Alpha, m.NumDemands)
@@ -331,20 +295,18 @@ func (sc *solveScratch) reset() {
 // members (via deterministic-priority Luby, seeded), raise them tight, and
 // push the set. It returns the dual assignment and the stack.
 func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace) (*lp.Duals, []StackEntry, error) {
-	misFn, nc := newMISFunc(m)
-	return phase1(m, misFn, rule, sched, seed, trace, nil, newSolveScratch(m, nc))
+	return phase1(m, rule, sched, seed, trace, nil, newSolveScratch(m))
 }
 
-// phase1 is Phase1 with the MIS routine and scratch supplied by the
-// caller (cached and pooled in a solverModel, or freshly built). The
-// returned duals and stack alias the scratch: a pooling caller must
-// finish with them before releasing it. A non-nil tel records one span
-// per epoch, whose counters sum its stages (stages, steps, raises, Luby
-// MIS phases), so a traced solve records O(epochs) spans however many
-// stages a narrow schedule runs; the per-stage step counts are
-// CollectTrace's StepsPerStage. tel is read-only observation and never
-// alters the computation — with tel == nil the loop pays one
-// predictable branch per epoch.
+// phase1 is Phase1 on a scratch supplied by the caller (pooled in a
+// solverModel, or freshly built). The returned duals and stack alias the
+// scratch: a pooling caller must finish with them before releasing it.
+// A non-nil tel records one span per epoch, whose counters sum its
+// stages (stages, steps, raises, Luby MIS phases), so a traced solve
+// records O(epochs) spans however many stages a narrow schedule runs;
+// the per-stage step counts are CollectTrace's StepsPerStage. tel is
+// read-only observation and never alters the computation — with
+// tel == nil the loop pays one predictable branch per epoch.
 //
 // The active set is tracked incrementally instead of rescanned: each
 // stage starts with one scan of the epoch's layer-group bucket, and each
@@ -354,8 +316,10 @@ func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 // ever increase dual LHS values, so an untouched instance's satisfaction
 // cannot change and the tracked set stays exactly the rescan set; the
 // equivalence suite asserts byte-identical duals and stacks against a
-// full-rescan reference.
-func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed uint64, trace *Trace, tel *obs.Trace, sc *solveScratch) (*lp.Duals, []StackEntry, error) {
+// full-rescan reference. Each step's Luby MIS runs on the model's own
+// clique cover, seeded from the epoch's bucket, which holds every active
+// instance in ascending order.
+func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace, tel *obs.Trace, sc *solveScratch) (*lp.Duals, []StackEntry, error) {
 	sc.reset()
 	duals := &sc.duals
 	active := sc.active
@@ -423,7 +387,7 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 				}
 				stepCounter++
 				prioStep = stepCounter
-				set, phases := misFn(sc.mis, active, prio)
+				set, phases := sc.mis.LubyCover(m, group, active, prio)
 				if trace != nil {
 					trace.MISPhases += phases
 				}

@@ -6,6 +6,7 @@ import (
 
 	"treesched/internal/instance"
 	"treesched/internal/lp"
+	"treesched/internal/model"
 )
 
 // SequentialLine runs the classical sequential 2-approximation for
@@ -33,12 +34,11 @@ func (c *Compiled) SequentialLine(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
 	v := variant{name: "sequential-line", rule: lp.Unit{}, sched: Schedule{Lambda: 1}, bound: 2}
-	return sequentialPass(sm, v, opts, func(a, b int32) int {
+	return sequentialPass(sm, v, opts, func(m *model.Model, a, b int32) int {
 		if d := cmp.Compare(m.Insts[a].V, m.Insts[b].V); d != 0 {
 			return d
 		}
 		return cmp.Compare(a, b)
-	}, func(int32) int { return 1 })
+	}, func(*model.Model, int32) int { return 1 })
 }

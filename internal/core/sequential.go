@@ -3,10 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"treesched/internal/instance"
 	"treesched/internal/lp"
+	"treesched/internal/model"
 )
 
 // Sequential runs the Appendix-A sequential algorithm for the unit-height
@@ -30,7 +30,6 @@ func (c *Compiled) Sequential(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sm.m
 	v := variant{name: "sequential", rule: lp.Unit{}, sched: Schedule{Lambda: 1}, bound: 3}
 	if len(p.Trees) == 1 {
 		v.rule, v.bound = lp.UnitNoAlpha{}, 2
@@ -38,7 +37,7 @@ func (c *Compiled) Sequential(opts Options) (*Result, error) {
 	// σ(T_q): instances of tree q ordered by descending capture depth
 	// (= ascending group), ties by id; trees processed in index order,
 	// one epoch each.
-	return sequentialPass(sm, v, opts, func(a, b int32) int {
+	return sequentialPass(sm, v, opts, func(m *model.Model, a, b int32) int {
 		if d := cmp.Compare(m.Insts[a].Net, m.Insts[b].Net); d != 0 {
 			return d
 		}
@@ -46,31 +45,30 @@ func (c *Compiled) Sequential(opts Options) (*Result, error) {
 			return d
 		}
 		return cmp.Compare(a, b)
-	}, func(i int32) int { return int(m.Insts[i].Net) + 1 })
+	}, func(m *model.Model, i int32) int { return int(m.Insts[i].Net) + 1 })
 }
 
 // sequentialPass runs a λ = 1 sequential algorithm v on sm — Sequential
 // and SequentialLine — and assembles its Result; v's schedule carries only
 // λ = 1, since the pass is its first phase. The pass visits the instances
-// in compare's order, which must break its own ties: each instance not yet
-// 1-satisfied is raised tight and pushed as a singleton step of epoch(i).
-// One pass suffices: raising an instance never lowers any LHS, and every
-// instance is examined in order — exactly the "earliest unsatisfied" loop
-// of Figure 8.
-func sequentialPass(sm *solverModel, v variant, opts Options, compare func(a, b int32) int, epoch func(i int32) int) (*Result, error) {
+// in compare's order (sm.visitOrder), which must break its own ties: each
+// instance not yet 1-satisfied is raised tight and pushed as a singleton
+// step of epoch(i). One pass suffices: raising an instance never lowers
+// any LHS, and every instance is examined in order — exactly the
+// "earliest unsatisfied" loop of Figure 8. Like runPhases, the pass runs
+// on the solverModel's pooled scratch (duals, stack, the set arena that
+// holds the singletons, Phase2's buffers), and only the Result escapes.
+func sequentialPass(sm *solverModel, v variant, opts Options, compare func(m *model.Model, a, b int32) int, epoch func(m *model.Model, i int32) int) (*Result, error) {
 	m, tel := sm.m, opts.Telemetry
-	order := make([]int32, len(m.Insts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, compare)
-
-	duals := lp.NewDuals(m)
+	order := sm.visitOrder(compare)
 	var trace *Trace
 	if opts.CollectTrace {
 		trace = &Trace{}
 	}
-	var stack []StackEntry
+	sc := sm.acquire()
+	defer sm.release(sc)
+	sc.reset()
+	duals := &sc.duals
 	step := 0
 	sp := tel.Begin("phase1")
 	for _, i := range order {
@@ -79,11 +77,13 @@ func sequentialPass(sm *solverModel, v variant, opts Options, compare func(a, b 
 		}
 		step++
 		delta := v.rule.Raise(m, duals, i)
-		k := epoch(i)
+		k := epoch(m, i)
 		if trace != nil {
 			trace.Events = append(trace.Events, RaiseEvent{Inst: i, Delta: delta, Epoch: k, Stage: 1, Step: step})
 		}
-		stack = append(stack, StackEntry{Epoch: k, Stage: 1, Step: step, Set: []int32{i}})
+		sc.setArena = append(sc.setArena, i)
+		n := len(sc.setArena)
+		sc.stack = append(sc.stack, StackEntry{Epoch: k, Stage: 1, Step: step, Set: sc.setArena[n-1 : n : n]})
 	}
 	if tel != nil {
 		tel.Add(sp, "raises", int64(step))
@@ -96,7 +96,8 @@ func sequentialPass(sm *solverModel, v variant, opts Options, compare func(a, b 
 		return nil, err
 	}
 	sp = tel.Begin("phase2")
-	sel := Phase2(m, stack)
+	sel := phase2(m, sc.stack, sc.load, sc.used, sc.selected[:0])
+	sc.selected = sel
 	tel.End(sp)
 	sp = tel.Begin("assemble")
 	defer tel.End(sp)

@@ -196,7 +196,7 @@ func runPhases(sm *solverModel, v variant, opts Options) (*Result, error) {
 	sc := sm.acquire()
 	defer sm.release(sc)
 	sp := tel.Begin("phase1")
-	duals, stack, err := phase1(m, sm.misFn(), v.rule, v.sched, opts.Seed, trace, tel, sc)
+	duals, stack, err := phase1(m, v.rule, v.sched, opts.Seed, trace, tel, sc)
 	if err != nil {
 		tel.End(sp)
 		return nil, err

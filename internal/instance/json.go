@@ -350,57 +350,67 @@ func decodeDemands(d *wire.Decoder) []Demand {
 	out := make([]Demand, 0, n)
 	for more := true; more; more = d.More(']') {
 		out = append(out, Demand{})
-		dm := &out[len(out)-1]
-		if !d.Open('{') {
-			d.Decline() // {} or not an object
-			break
-		}
-		var seen uint
-		for more := true; more; more = d.More('}') {
-			var bit uint
-			switch string(d.Key()) {
-			case "id":
-				bit = 1 << 0
-				dm.ID = d.Int()
-			case "u":
-				bit = 1 << 1
-				dm.U = d.Int()
-			case "v":
-				bit = 1 << 2
-				dm.V = d.Int()
-			case "release":
-				bit = 1 << 3
-				dm.Release = d.Int()
-			case "deadline":
-				bit = 1 << 4
-				dm.Deadline = d.Int()
-			case "proctime":
-				bit = 1 << 5
-				dm.ProcTime = d.Int()
-			case "profit":
-				bit = 1 << 6
-				dm.Profit = d.Float64()
-			case "height":
-				bit = 1 << 7
-				dm.Height = d.Float64()
-			case "access":
-				bit = 1 << 8
-				dm.Access = make([]int, 0, d.Count(minNumberBytes))
-				if d.Open('[') {
-					for more := true; more; more = d.More(']') {
-						dm.Access = append(dm.Access, d.Int())
-					}
-				}
-			default:
-				d.Decline()
-			}
-			if seen&bit != 0 {
-				d.Decline()
-			}
-			seen |= bit
-		}
+		DecodeDemandWire(d, &out[len(out)-1])
 	}
 	return out
+}
+
+// DecodeDemandWire parses one demand object in wire form at d's position
+// into dm, which the caller zeroes, with its access list allocated once at
+// its final length. The fast subset is DecodeWire's: exact member names,
+// each at most once, integer literals for int fields, no nulls; an empty
+// object declines too. On anything else d is declined and the caller
+// decodes the whole input through encoding/json. dm shares no memory
+// with d's input.
+func DecodeDemandWire(d *wire.Decoder, dm *Demand) {
+	if !d.Open('{') {
+		d.Decline() // {} or not an object
+		return
+	}
+	var seen uint
+	for more := true; more; more = d.More('}') {
+		var bit uint
+		switch string(d.Key()) {
+		case "id":
+			bit = 1 << 0
+			dm.ID = d.Int()
+		case "u":
+			bit = 1 << 1
+			dm.U = d.Int()
+		case "v":
+			bit = 1 << 2
+			dm.V = d.Int()
+		case "release":
+			bit = 1 << 3
+			dm.Release = d.Int()
+		case "deadline":
+			bit = 1 << 4
+			dm.Deadline = d.Int()
+		case "proctime":
+			bit = 1 << 5
+			dm.ProcTime = d.Int()
+		case "profit":
+			bit = 1 << 6
+			dm.Profit = d.Float64()
+		case "height":
+			bit = 1 << 7
+			dm.Height = d.Float64()
+		case "access":
+			bit = 1 << 8
+			dm.Access = make([]int, 0, d.Count(minNumberBytes))
+			if d.Open('[') {
+				for more := true; more; more = d.More(']') {
+					dm.Access = append(dm.Access, d.Int())
+				}
+			}
+		default:
+			d.Decline()
+		}
+		if seen&bit != 0 {
+			d.Decline()
+		}
+		seen |= bit
+	}
 }
 
 // decodeCapacities reads the capacity rows, each allocated at its final

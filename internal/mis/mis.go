@@ -1,13 +1,14 @@
 // Package mis implements Luby's randomized maximal independent set
 // algorithm [Luby 1986], the MIS subroutine named by the paper for its
-// distributed iterations (§5). The solvers run one pair of equivalent
-// executions, on a reusable Scratch with priorities drawn through the
-// deterministic Priority function:
+// distributed iterations (§5). Priorities are drawn through the
+// deterministic Priority function, on a reusable Scratch:
 //
-//   - Scratch.LubyFunc: over an explicit conflict graph;
-//   - Scratch.LubyFuncImplicit: over a clique cover, aggregating
-//     priorities per clique so each phase costs O(Σ|clique|) instead of
-//     O(edges).
+//   - Scratch.LubyCover: the solvers' routine, over the compiled model's
+//     own clique cover (one clique per demand, one per edge), aggregating
+//     priorities per clique so each phase costs O(Σ|clique|) of the
+//     undecided frontier instead of O(edges);
+//   - Scratch.LubyFunc: over an explicit conflict graph, kept as the
+//     oracle LubyCover is held to.
 //
 // With the same priority function they return identical sets, and the
 // distributed protocol's Luby rounds draw the same priorities — the
@@ -20,14 +21,16 @@ import (
 	"treesched/internal/conflict"
 )
 
-// state tracks per-vertex progress within one MIS computation.
+// state tracks per-vertex progress within one MIS computation. inactive
+// is the zero state, so a freshly grown Scratch starts with every vertex
+// outside the computation.
 type state uint8
 
 const (
-	undecided state = iota
+	inactive state = iota
+	undecided
 	inMIS
 	excluded
-	inactive
 )
 
 // VerifyMaximalIndependent checks that set is independent in g and maximal

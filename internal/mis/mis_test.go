@@ -10,7 +10,7 @@ import (
 	"treesched/internal/model"
 )
 
-func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, *conflict.Implicit) {
+func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := gen.TreeProblem(gen.TreeConfig{N: 25, Trees: 3, Demands: 20, Unit: true}, rng)
@@ -18,7 +18,17 @@ func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, *conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, conflict.Build(m), conflict.BuildImplicit(m)
+	return m, conflict.Build(m)
+}
+
+// everyInst lists m's instances ascending: the widest candidate list
+// LubyCover accepts.
+func everyInst(m *model.Model) []int32 {
+	out := make([]int32, len(m.Insts))
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }
 
 // seeded returns a priority function for one Luby run: the solvers'
@@ -37,7 +47,7 @@ func allActive(n int) []bool {
 
 func TestLubyProducesMaximalIndependentSets(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		_, g, _ := buildGraphs(t, seed)
+		_, g := buildGraphs(t, seed)
 		active := allActive(g.N)
 		set, phases := LubyFunc(g.Adj, active, seeded(seed*31))
 		if phases < 1 || len(set) == 0 {
@@ -50,13 +60,13 @@ func TestLubyProducesMaximalIndependentSets(t *testing.T) {
 }
 
 func TestLubyRespectsActiveSubset(t *testing.T) {
-	_, g, im := buildGraphs(t, 3)
+	m, g := buildGraphs(t, 3)
 	active := make([]bool, g.N)
 	for i := 0; i < g.N; i += 2 {
 		active[i] = true
 	}
 	explicit, _ := LubyFunc(g.Adj, active, seeded(99))
-	implicit, _ := LubyFuncImplicit(im, active, seeded(99))
+	implicit, _ := new(Scratch).LubyCover(m, everyInst(m), active, seeded(99))
 	for _, set := range [][]int32{explicit, implicit} {
 		for _, i := range set {
 			if i%2 != 0 {
@@ -72,9 +82,9 @@ func TestLubyRespectsActiveSubset(t *testing.T) {
 func TestExplicitAndImplicitLubyAgree(t *testing.T) {
 	// One Scratch serves both routines in turn, as in the solvers, so the
 	// explicit set is copied out before the implicit run overwrites it.
-	sc := NewScratch(0, 0)
+	sc := new(Scratch)
 	for seed := int64(0); seed < 12; seed++ {
-		_, g, im := buildGraphs(t, seed)
+		m, g := buildGraphs(t, seed)
 		rng := rand.New(rand.NewSource(seed))
 		active := make([]bool, g.N)
 		for i := range active {
@@ -82,7 +92,7 @@ func TestExplicitAndImplicitLubyAgree(t *testing.T) {
 		}
 		s1, p1 := sc.LubyFunc(g.Adj, active, seeded(1234+seed))
 		s1 = slices.Clone(s1)
-		s2, p2 := sc.LubyFuncImplicit(im, active, seeded(1234+seed))
+		s2, p2 := sc.LubyCover(m, everyInst(m), active, seeded(1234+seed))
 		if p1 != p2 {
 			t.Fatalf("seed %d: phases %d vs %d", seed, p1, p2)
 		}
@@ -95,20 +105,53 @@ func TestExplicitAndImplicitLubyAgree(t *testing.T) {
 	}
 }
 
+// TestLubyCoverSeededFromCandidates calls LubyCover as Phase1 does: on
+// one Scratch, with candidate lists that are strict subsets of the
+// instances but supersets of the active set, so the states it leaves
+// outside each call's candidates are stale from earlier calls (and from
+// explicit runs on the same Scratch). Every call must still equal the
+// explicit routine on a fresh scratch.
+func TestLubyCoverSeededFromCandidates(t *testing.T) {
+	sc := new(Scratch)
+	for seed := int64(0); seed < 6; seed++ {
+		m, g := buildGraphs(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for call := 0; call < 20; call++ {
+			var cands []int32
+			active := make([]bool, g.N)
+			for i := int32(0); int(i) < g.N; i++ {
+				if rng.Intn(3) > 0 {
+					cands = append(cands, i)
+					active[i] = rng.Intn(3) > 0
+				}
+			}
+			prio := seeded(seed*100 + int64(call))
+			want, wantPhases := LubyFunc(g.Adj, active, prio)
+			got, gotPhases := sc.LubyCover(m, cands, active, prio)
+			if gotPhases != wantPhases || !slices.Equal(got, want) {
+				t.Fatalf("seed %d call %d: LubyCover %v in %d phases, explicit %v in %d", seed, call, got, gotPhases, want, wantPhases)
+			}
+			if call%5 == 0 {
+				sc.LubyFunc(g.Adj, allActive(g.N), prio)
+			}
+		}
+	}
+}
+
 func TestEmptyActiveSet(t *testing.T) {
-	_, g, im := buildGraphs(t, 6)
+	m, g := buildGraphs(t, 6)
 	active := make([]bool, g.N)
-	sc := NewScratch(g.N, im.NumCliques())
+	sc := new(Scratch)
 	if set, phases := sc.LubyFunc(g.Adj, active, seeded(1)); len(set) != 0 || phases != 0 {
 		t.Fatal("empty active set should need 0 phases")
 	}
-	if set, phases := sc.LubyFuncImplicit(im, active, seeded(1)); len(set) != 0 || phases != 0 {
+	if set, phases := sc.LubyCover(m, everyInst(m), active, seeded(1)); len(set) != 0 || phases != 0 {
 		t.Fatal("implicit: empty active set should need 0 phases")
 	}
 }
 
 func TestVerifierCatchesViolations(t *testing.T) {
-	_, g, _ := buildGraphs(t, 7)
+	_, g := buildGraphs(t, 7)
 	active := allActive(g.N)
 	// Non-maximal: empty set with non-empty active graph.
 	if err := VerifyMaximalIndependent(g, active, nil); err == nil {
@@ -135,11 +178,11 @@ func TestLubyPhaseCountIsLogarithmicish(t *testing.T) {
 	// explosion: expected phases are O(log N) w.h.p., so 10 trials on a
 	// ~60-vertex graph should never need 40 phases.
 	for seed := int64(0); seed < 10; seed++ {
-		_, g, im := buildGraphs(t, seed+100)
+		m, g := buildGraphs(t, seed+100)
 		active := allActive(g.N)
-		sc := NewScratch(g.N, im.NumCliques())
+		sc := new(Scratch)
 		_, explicit := sc.LubyFunc(g.Adj, active, seeded(seed))
-		_, implicit := sc.LubyFuncImplicit(im, active, seeded(seed))
+		_, implicit := sc.LubyCover(m, everyInst(m), active, seeded(seed))
 		if explicit > 40 || implicit > 40 {
 			t.Fatalf("seed %d: %d and %d phases on %d vertices", seed, explicit, implicit, g.N)
 		}
@@ -147,9 +190,9 @@ func TestLubyPhaseCountIsLogarithmicish(t *testing.T) {
 }
 
 func BenchmarkLubyExplicit(b *testing.B) {
-	_, g, _ := buildGraphs(b, 1)
+	_, g := buildGraphs(b, 1)
 	active := allActive(g.N)
-	sc := NewScratch(g.N, 0)
+	sc := new(Scratch)
 	seed := int64(0)
 	for b.Loop() {
 		seed++
@@ -157,13 +200,14 @@ func BenchmarkLubyExplicit(b *testing.B) {
 	}
 }
 
-func BenchmarkLubyImplicit(b *testing.B) {
-	_, _, im := buildGraphs(b, 1)
-	active := allActive(im.N)
-	sc := NewScratch(im.N, im.NumCliques())
+func BenchmarkLubyCover(b *testing.B) {
+	m, _ := buildGraphs(b, 1)
+	active := allActive(len(m.Insts))
+	cands := everyInst(m)
+	sc := new(Scratch)
 	seed := int64(0)
 	for b.Loop() {
 		seed++
-		sc.LubyFuncImplicit(im, active, seeded(seed))
+		sc.LubyCover(m, cands, active, seeded(seed))
 	}
 }

@@ -3,7 +3,7 @@ package mis
 import (
 	"slices"
 
-	"treesched/internal/conflict"
+	"treesched/internal/model"
 )
 
 // Priority returns a deterministic pseudo-random priority in [0,1) for a
@@ -29,10 +29,15 @@ func Priority(seed uint64, inst int32, step uint64, phase int) float64 {
 
 // Scratch holds the reusable state of the deterministic-priority Luby
 // routines so a solver calling them once per framework step allocates
-// nothing in steady state. A Scratch is single-goroutine; size it for the
-// largest (vertex count, clique count) pair it will see. The set returned
+// nothing in steady state. The zero Scratch is ready to use and sizes
+// itself on each call. A Scratch is single-goroutine. The set returned
 // by its methods aliases an internal buffer and is overwritten by the
 // next call — callers that retain sets must copy them out.
+//
+// A call writes the states of its own candidates only and ends with none
+// of them undecided, and undecided is the one state a call reads of a
+// vertex outside its worklist; so stale states from earlier calls, on
+// this model or another, need no reset.
 type Scratch struct {
 	st      []state
 	prio    []float64
@@ -47,18 +52,8 @@ type Scratch struct {
 	cliqueGen   int32
 }
 
-// NewScratch sizes a scratch for n vertices and numCliques cliques
-// (numCliques may be 0 when only the explicit-graph routine is used).
-func NewScratch(n, numCliques int) *Scratch {
-	return &Scratch{
-		st:          make([]state, n),
-		prio:        make([]float64, n),
-		top1:        make([]int32, numCliques),
-		cliqueStamp: make([]int32, numCliques),
-	}
-}
-
-// ensure re-sizes the buffers for a call on n vertices / nc cliques.
+// ensure sizes the buffers for a call on n vertices and nc cliques and
+// empties the worklists. A state buffer grown here starts inactive.
 func (s *Scratch) ensure(n, nc int) {
 	if cap(s.st) < n {
 		s.st = make([]state, n)
@@ -77,19 +72,6 @@ func (s *Scratch) ensure(n, nc int) {
 	s.out = s.out[:0]
 }
 
-// initStates seeds the per-vertex states and the ascending undecided
-// worklist from the active flags.
-func (s *Scratch) initStates(active []bool) {
-	for i := range s.st {
-		if active[i] {
-			s.st[i] = undecided
-			s.und = append(s.und, int32(i))
-		} else {
-			s.st[i] = inactive
-		}
-	}
-}
-
 // compactUndecided drops decided vertices from the worklist, preserving
 // ascending order.
 func (s *Scratch) compactUndecided() {
@@ -102,63 +84,85 @@ func (s *Scratch) compactUndecided() {
 	s.und = keep
 }
 
-// LubyFuncImplicit mirrors LubyFunc over a clique cover: winners are the
-// per-clique minima by (priority, index), exclusions are clique
-// co-members. With the same priority function it returns exactly the same
-// set and phase count as LubyFunc on the corresponding explicit graph.
-// Each phase walks only the undecided vertices and their cliques (minima
-// accumulated with lazily-stamped per-clique slots), so the cost tracks
-// the shrinking frontier rather than the full cover.
-func (s *Scratch) LubyFuncImplicit(im *conflict.Implicit, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	s.ensure(im.N, im.NumCliques())
-	s.initStates(active)
-	st, p, top1 := s.st, s.prio, s.top1
-	phase := 0
-	better := func(a, b int32) bool {
-		return p[a] < p[b] || (p[a] == p[b] && a < b)
+// LubyCover computes a maximal independent set of m's conflict graph
+// induced by the active instances, over the model's own clique cover.
+// Two instances conflict exactly when they share a demand or an edge, so
+// the cover is rows the model already holds: demand clique a is
+// m.InstsOf.Row(a), edge clique D+e (D = m.InstsOf.Rows()) is
+// m.EdgeInsts.Row(e), and instance i lies in its demand's clique and in
+// one clique per edge of m.Paths.Row(i). cands lists, ascending, a
+// superset of the active instances — Phase1 passes its epoch's layer
+// group — and seeds the worklist, so a call costs nothing for instances
+// outside it.
+//
+// Winners are the per-clique minima by (priority, index), exclusions are
+// clique co-members. A singleton clique changes no winner and excludes
+// nobody, so with the same priority function LubyCover returns exactly
+// the set and phase count LubyFunc returns on conflict.Build(m). Each
+// phase walks only the undecided vertices and their cliques (minima
+// accumulated in lazily-stamped per-clique slots), so the cost tracks the
+// shrinking frontier rather than the full cover.
+func (s *Scratch) LubyCover(m *model.Model, cands []int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
+	nd := int32(m.InstsOf.Rows())
+	s.ensure(len(m.Insts), int(nd)+m.EdgeInsts.Rows())
+	for _, i := range cands {
+		if active[i] {
+			s.st[i] = undecided
+			s.und = append(s.und, i)
+		}
 	}
+	st, p, top1, stamp := s.st, s.prio, s.top1, s.cliqueStamp
+	// offer makes i the phase's minimum of clique k when it is the first
+	// undecided member seen or beats the current one by (priority, index).
+	offer := func(k, i int32) {
+		if stamp[k] != s.cliqueGen {
+			stamp[k] = s.cliqueGen
+			top1[k] = i
+		} else if j := top1[k]; p[i] < p[j] || (p[i] == p[j] && i < j) {
+			top1[k] = i
+		}
+	}
+	exclude := func(clique []int32) {
+		for _, j := range clique {
+			if st[j] == undecided {
+				st[j] = excluded
+			}
+		}
+	}
+	phase := 0
 	for len(s.und) > 0 {
 		phase++
 		for _, i := range s.und {
 			p[i] = prio(i, phase)
 		}
-		// Ascending accumulation over the undecided worklist reproduces
-		// each clique's minimum over its undecided members exactly.
 		s.cliqueGen++
 		for _, i := range s.und {
-			for _, k := range im.CliquesOf.Row(i) {
-				if s.cliqueStamp[k] != s.cliqueGen {
-					s.cliqueStamp[k] = s.cliqueGen
-					top1[k] = i
-				} else if better(i, top1[k]) {
-					top1[k] = i
-				}
+			offer(m.Insts[i].Demand, i)
+			for _, e := range m.Paths.Row(i) {
+				offer(nd+e, i)
 			}
 		}
 		s.winners = s.winners[:0]
+	next:
 		for _, i := range s.und {
-			best := true
-			for _, k := range im.CliquesOf.Row(i) {
-				if top1[k] != i {
-					best = false
-					break
+			if top1[m.Insts[i].Demand] != i {
+				continue
+			}
+			for _, e := range m.Paths.Row(i) {
+				if top1[nd+e] != i {
+					continue next
 				}
 			}
-			if best {
-				s.winners = append(s.winners, i)
-			}
+			s.winners = append(s.winners, i)
 		}
 		for _, i := range s.winners {
 			st[i] = inMIS
 			s.out = append(s.out, i)
 		}
 		for _, i := range s.winners {
-			for _, k := range im.CliquesOf.Row(i) {
-				for _, j := range im.Clique(k) {
-					if st[j] == undecided {
-						st[j] = excluded
-					}
-				}
+			exclude(m.InstsOf.Row(m.Insts[i].Demand))
+			for _, e := range m.Paths.Row(i) {
+				exclude(m.EdgeInsts.Row(e))
 			}
 		}
 		s.compactUndecided()
@@ -177,7 +181,12 @@ func (s *Scratch) LubyFuncImplicit(im *conflict.Implicit, active []bool, prio fu
 // implementation.
 func (s *Scratch) LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
 	s.ensure(len(adj), 0)
-	s.initStates(active)
+	for i, a := range active {
+		if a {
+			s.st[i] = undecided
+			s.und = append(s.und, int32(i))
+		}
+	}
 	st, p := s.st, s.prio
 	phase := 0
 	for len(s.und) > 0 {
@@ -220,20 +229,8 @@ func (s *Scratch) LubyFunc(adj [][]int32, active []bool, prio func(i int32, phas
 	return s.out, phase
 }
 
-// LubyFuncImplicit is the allocating form of Scratch.LubyFuncImplicit;
-// the returned set is freshly allocated and safe to retain.
-func LubyFuncImplicit(im *conflict.Implicit, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	set, phases := NewScratch(im.N, im.NumCliques()).LubyFuncImplicit(im, active, prio)
-	out := make([]int32, len(set))
-	copy(out, set)
-	return out, phases
-}
-
-// LubyFunc is the allocating form of Scratch.LubyFunc; the returned set
-// is freshly allocated and safe to retain.
+// LubyFunc is Scratch.LubyFunc on a scratch of its own, so the returned
+// set is safe to retain.
 func LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	set, phases := NewScratch(len(adj), 0).LubyFunc(adj, active, prio)
-	out := make([]int32, len(set))
-	copy(out, set)
-	return out, phases
+	return new(Scratch).LubyFunc(adj, active, prio)
 }

@@ -46,7 +46,6 @@ func TestLubyFuncExplicitImplicitAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := conflict.Build(m)
-		im := conflict.BuildImplicit(m)
 		active := make([]bool, g.N)
 		for i := range active {
 			active[i] = rng.Intn(5) > 0
@@ -55,7 +54,7 @@ func TestLubyFuncExplicitImplicitAgree(t *testing.T) {
 			return Priority(uint64(seed), i, 9, phase)
 		}
 		s1, p1 := LubyFunc(g.Adj, active, prio)
-		s2, p2 := LubyFuncImplicit(im, active, prio)
+		s2, p2 := new(Scratch).LubyCover(m, everyInst(m), active, prio)
 		if p1 != p2 || len(s1) != len(s2) {
 			t.Fatalf("seed %d: phases %d/%d sizes %d/%d", seed, p1, p2, len(s1), len(s2))
 		}

@@ -199,7 +199,8 @@ func Write(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// Read parses a Write-format NDJSON stream.
+// Read parses a Write-format NDJSON stream: the header through
+// encoding/json, each event line through online.DecodeEvent.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 32<<20)
@@ -225,8 +226,8 @@ func Read(r io.Reader) (*Trace, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var ev online.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		ev, _, err := online.DecodeEvent(sc.Bytes())
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		tr.Events = append(tr.Events, ev)

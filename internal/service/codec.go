@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"sync"
 
 	"treesched/internal/instance"
@@ -77,8 +78,25 @@ func (e *Engine) decode(body []byte) (Request, error) {
 // memory for the life of the process.
 const maxPooledBody = 1 << 20
 
-// bodyPool recycles /solve body buffers.
+// bodyPool recycles the body buffers of /solve and of session event
+// batches.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putBody returns a bodyPool buffer, unless a large body grew it past
+// maxPooledBody.
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
+
+// readRequest reads r's body, capped at maxRequestBytes, into the pooled
+// buffer *bp, and keeps the buffer it grew there for putBody.
+func readRequest(w http.ResponseWriter, r *http.Request, bp *[]byte) ([]byte, error) {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, *bp)
+	*bp = body
+	return body, err
+}
 
 // maxPresize caps what an announced Content-Length may allocate before
 // any body byte has arrived. A client can announce up to

@@ -20,6 +20,7 @@ import (
 
 	"treesched/internal/gen"
 	"treesched/internal/instance"
+	"treesched/internal/online"
 	"treesched/internal/scenario"
 )
 
@@ -316,6 +317,183 @@ func BenchmarkHashProblem(b *testing.B) {
 	for b.Loop() {
 		if _, err := hashProblem(p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// churnBatches returns a session-open body and event batches shaped as
+// perfbench's session-churn writes them: removes, adds of unit tree
+// demands and a resolve, encoding/json lines, with the number of events
+// each batch holds. The second batch has CRLF endings and a blank line,
+// which is skipped.
+func churnBatches(t *testing.T) (open []byte, batches []string, events []int) {
+	t.Helper()
+	const jobs = 24
+	p := gen.TreeProblem(gen.TreeConfig{N: 64, Trees: 3, Demands: 2 * jobs, Shape: gen.ShapeRandom, Unit: true, AccessProb: 0.5}, rand.New(rand.NewSource(5)))
+	network := *p
+	network.Demands = p.Demands[:jobs]
+	open, err := json.Marshal(SessionRequest{Algo: "tree-unit", Network: &network})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(ev online.Event) string {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for b := 0; b < 4; b++ {
+		var lines []string
+		rm, add := b*3, jobs+b*3
+		for i := rm; i < rm+3; i++ {
+			lines = append(lines, line(online.Event{Op: online.OpRemove, ID: int64(i)}))
+		}
+		for i := add; i < add+3; i++ {
+			lines = append(lines, line(online.Event{Op: online.OpAdd, Job: &online.Job{ID: int64(i), Demand: p.Demands[i]}}))
+		}
+		lines = append(lines, line(online.Event{Op: online.OpResolve}))
+		body := strings.Join(lines, "\n") + "\n"
+		if b == 1 {
+			body = strings.Join(lines, "\r\n") + "\r\n\r\n"
+		}
+		batches, events = append(batches, body), append(events, len(lines))
+	}
+	return open, batches, events
+}
+
+// openSessionHTTP opens a session through POST /session and returns its
+// id.
+func openSessionHTTP(t *testing.T, url string, open []byte) string {
+	t.Helper()
+	status, resp := postJSON(t, url+"/session", string(open))
+	var info SessionInfo
+	if status != http.StatusOK || json.Unmarshal(resp, &info) != nil {
+		t.Fatalf("open: status %d: %s", status, resp)
+	}
+	return info.SessionID
+}
+
+// sessionRun posts batches to session id and returns its schedule body
+// with the id replaced by "SID". It reports failures as errors, so other
+// goroutines than the test's may call it.
+func sessionRun(url, id string, batches []string, events []int) ([]byte, error) {
+	for k, body := range batches {
+		resp, err := http.Post(url+"/session/"+id+"/events", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		var res SessionEventsResult
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || res.Applied != events[k] {
+			return nil, fmt.Errorf("batch %d: status %d, %d applied, want %d (%v)", k, resp.StatusCode, res.Applied, events[k], err)
+		}
+	}
+	resp, err := http.Get(url + "/session/" + id + "/schedule")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("schedule: status %d: %s (%v)", resp.StatusCode, body, err)
+	}
+	return bytes.ReplaceAll(body, []byte(id), []byte("SID")), nil
+}
+
+// TestSessionEventDecodeFallbackCounter: perfbench-shaped event batches
+// (churnBatches) take the fast event codec, so the event fallback
+// counter stays 0; one case-folded line moves it to 1 in /metrics and
+// /metrics.prom, and is applied as encoding/json decodes it.
+func TestSessionEventDecodeFallbackCounter(t *testing.T) {
+	e, srv := newTestServer(t)
+	open, batches, events := churnBatches(t)
+	id := openSessionHTTP(t, srv.URL, open)
+	if _, err := sessionRun(srv.URL, id, batches, events); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := func() (jsonCount int64, prom float64) {
+		t.Helper()
+		r, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap MetricsSnapshot
+		err = json.NewDecoder(r.Body).Decode(&snap)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("/metrics: status %d: %v", r.StatusCode, err)
+		}
+		return snap.SessionEventDecodeFallbacks, flatten(scrapeProm(t, srv.URL))["sched_session_event_decode_fallback_total"]
+	}
+	if j, prom := fallbacks(); j != 0 || prom != 0 {
+		t.Fatalf("event fallbacks after encoding/json batches: %d in /metrics, %g in /metrics.prom", j, prom)
+	}
+	if _, err := sessionRun(srv.URL, id, []string{`{"Op":"remove","ID":30}` + "\n"}, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if j, prom := fallbacks(); j != 1 || prom != 1 {
+		t.Fatalf("event fallbacks after one case-folded line: %d in /metrics, %g in /metrics.prom, want 1", j, prom)
+	}
+	if n := e.Metrics().RequestDecodeFallbacks; n != 0 {
+		t.Fatalf("event lines moved the request fallback counter to %d", n)
+	}
+}
+
+// TestSessionEventBatchesConcurrent: event batches and /solve bodies
+// share the pooled body buffers, so decoded events must share no memory
+// with them. Four sessions fed the same batches at once, beside /solve
+// traffic, must each end with the schedule one session fed alone ends
+// with.
+func TestSessionEventBatchesConcurrent(t *testing.T) {
+	_, srv := newTestServer(t)
+	open, batches, events := churnBatches(t)
+	want, err := sessionRun(srv.URL, openSessionHTTP(t, srv.URL, open), batches, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 4)
+	for i := range ids {
+		ids[i] = openSessionHTTP(t, srv.URL, open)
+	}
+	bodies := genBodies(t, 6)
+	var wg sync.WaitGroup
+	got := make([][]byte, len(ids))
+	errs := make([]error, len(ids)+1)
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = sessionRun(srv.URL, id, batches, events)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, body := range bodies {
+			resp, err := http.Post(srv.URL+"/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[len(ids)] = err
+				return
+			}
+			io.Copy(io.Discard, resp.Body) // nolint:errcheck — only the status matters here
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[len(ids)] = fmt.Errorf("/solve: status %d", resp.StatusCode)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("session %d's schedule differs from a lone session's:\n%s\n%s", i, got[i], want)
 		}
 	}
 }

@@ -166,13 +166,8 @@ type bodyEntry struct {
 // answers it, the bytes written become its entry.
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
 	bp := bodyPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= maxPooledBody {
-			bodyPool.Put(bp)
-		}
-	}()
-	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, *bp)
-	*bp = body
+	defer putBody(bp)
+	body, err := readRequest(w, r, bp)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
 		return
@@ -359,28 +354,42 @@ func (e *Engine) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleSessionEvents reads an NDJSON stream of online.Event lines and
-// applies them in order; application stops at the first bad event (the
-// preceding ones stay applied) and the error names the offending line.
+// handleSessionEvents reads an NDJSON batch of online.Event lines once,
+// into a pooled buffer as /solve does, and applies them in order;
+// application stops at the first bad event (the preceding ones stay
+// applied) and the error names the offending line. Lines split at '\n'
+// with one trailing '\r' dropped, as bufio.ScanLines splits them, and
+// empty lines are skipped.
 func (e *Engine) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	body, err := readRequest(w, r, bp)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read stream: %v", err)})
+		return
+	}
 	var events []online.Event
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	sc.Buffer(make([]byte, 0, 64*1024), maxRequestBytes)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) == 0 {
 			continue
 		}
-		var ev online.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		ev, fallback, err := online.DecodeEvent(line)
+		if fallback {
+			e.met.eventDecodeFallbacks.Inc()
+		}
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode event %d: %v", len(events), err)})
 			return
 		}
 		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read stream: %v", err)})
-		return
 	}
 	res, err := e.SessionEvents(r.Context(), id, events)
 	if err != nil {

@@ -36,6 +36,9 @@ type metrics struct {
 	// decodeFallbacks counts decoded request bodies the fast wire codec
 	// declined, which encoding/json then decoded (see decodeRequest).
 	decodeFallbacks *obs.Counter
+	// eventDecodeFallbacks is the same count for session event lines
+	// (see online.DecodeEvent).
+	eventDecodeFallbacks *obs.Counter
 
 	sessionsOpened      *obs.Counter
 	sessionsClosed      *obs.Counter
@@ -72,9 +75,10 @@ func newMetrics(algoNames []string) *metrics {
 		solveNanos:     reg.Counter("sched_solve_nanos_total", "Total wall nanoseconds spent executing solvers."),
 		inFlight:       reg.Gauge("sched_in_flight", "Solves currently holding a worker slot."),
 
-		solvesCoalesced:   reg.Counter("sched_solves_coalesced_total", "Requests served by waiting on another request's identical in-flight solve (singleflight followers)."),
-		compilesCoalesced: reg.Counter("sched_compiles_coalesced_total", "Compilations avoided by waiting on another request's in-flight compile of the same problem."),
-		decodeFallbacks:   reg.Counter("sched_request_decode_fallback_total", "Decoded request bodies (/solve bodies and /batch lines) outside the fast wire codec's subset, which the encoding/json fallback decoded; a /solve body answered from its stored bytes is not decoded."),
+		solvesCoalesced:      reg.Counter("sched_solves_coalesced_total", "Requests served by waiting on another request's identical in-flight solve (singleflight followers)."),
+		compilesCoalesced:    reg.Counter("sched_compiles_coalesced_total", "Compilations avoided by waiting on another request's in-flight compile of the same problem."),
+		decodeFallbacks:      reg.Counter("sched_request_decode_fallback_total", "Decoded request bodies (/solve bodies and /batch lines) outside the fast wire codec's subset, which the encoding/json fallback decoded; a /solve body answered from its stored bytes is not decoded."),
+		eventDecodeFallbacks: reg.Counter("sched_session_event_decode_fallback_total", "Session event lines outside the fast wire codec's subset, which the encoding/json fallback decoded."),
 
 		sessionsOpened:      reg.Counter("sched_sessions_opened_total", "Dynamic sessions opened."),
 		sessionsClosed:      reg.Counter("sched_sessions_closed_total", "Dynamic sessions closed by clients."),
@@ -131,6 +135,10 @@ type MetricsSnapshot struct {
 	// subset encoding/json itself emits. A /solve body answered from its
 	// stored bytes is not decoded, so it never counts here.
 	RequestDecodeFallbacks int64 `json:"request_decode_fallbacks"`
+	// SessionEventDecodeFallbacks counts session event lines the fast
+	// wire codec declined and encoding/json decoded: lines a client wrote
+	// outside the subset encoding/json itself emits for an event.
+	SessionEventDecodeFallbacks int64 `json:"session_event_decode_fallbacks"`
 	// CacheShards is the effective lock-shard count of the compiled and
 	// result caches (Config.CacheShards after GOMAXPROCS derivation).
 	CacheShards int   `json:"cache_shards"`
@@ -217,22 +225,23 @@ func sloSnapshot(s *obs.SLO) SLOSnapshot {
 
 func (m *metrics) snapshot(compiledEntries, resultEntries, sessionsOpen int) MetricsSnapshot {
 	s := MetricsSnapshot{
-		Requests:               m.requests.Load(),
-		Errors:                 m.errors.Load(),
-		ResultHits:             m.resultHits.Load(),
-		ResultMisses:           m.resultMisses.Load(),
-		ResultBodyHits:         m.bodyHits.Load(),
-		CompiledHits:           m.compiledHits.Load(),
-		CompiledMisses:         m.compiledMisses.Load(),
-		SolvesCoalesced:        m.solvesCoalesced.Load(),
-		CompilesCoalesced:      m.compilesCoalesced.Load(),
-		RequestDecodeFallbacks: m.decodeFallbacks.Load(),
-		InFlight:               m.inFlight.Load(),
-		SolveNanos:             m.solveNanos.Load(),
-		SolveLatency:           m.solveLatency.Summarize(),
-		CompiledEntries:        compiledEntries,
-		ResultEntries:          resultEntries,
-		ByAlgo:                 make(map[string]int64),
+		Requests:                    m.requests.Load(),
+		Errors:                      m.errors.Load(),
+		ResultHits:                  m.resultHits.Load(),
+		ResultMisses:                m.resultMisses.Load(),
+		ResultBodyHits:              m.bodyHits.Load(),
+		CompiledHits:                m.compiledHits.Load(),
+		CompiledMisses:              m.compiledMisses.Load(),
+		SolvesCoalesced:             m.solvesCoalesced.Load(),
+		CompilesCoalesced:           m.compilesCoalesced.Load(),
+		RequestDecodeFallbacks:      m.decodeFallbacks.Load(),
+		SessionEventDecodeFallbacks: m.eventDecodeFallbacks.Load(),
+		InFlight:                    m.inFlight.Load(),
+		SolveNanos:                  m.solveNanos.Load(),
+		SolveLatency:                m.solveLatency.Summarize(),
+		CompiledEntries:             compiledEntries,
+		ResultEntries:               resultEntries,
+		ByAlgo:                      make(map[string]int64),
 
 		SessionsOpen:               sessionsOpen,
 		SessionsOpened:             m.sessionsOpened.Load(),

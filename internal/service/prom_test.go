@@ -86,6 +86,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		{"sched_sessions_open", "gauge"},
 		{"sched_uptime_seconds", "gauge"},
 		{"sched_request_decode_fallback_total", "counter"},
+		{"sched_session_event_decode_fallback_total", "counter"},
 	} {
 		f := fams[want.family]
 		if f == nil {
@@ -127,6 +128,7 @@ func TestPrometheusExpositionContract(t *testing.T) {
 		"sched_requests_by_algo_total{algo=\"greedy\"}": snap.ByAlgo["greedy"],
 		"sched_solve_latency_ns_count":                  snap.SolveLatency.Count,
 		"sched_request_decode_fallback_total":           snap.RequestDecodeFallbacks,
+		"sched_session_event_decode_fallback_total":     snap.SessionEventDecodeFallbacks,
 	} {
 		if got := after[key]; got != float64(want) {
 			t.Errorf("%s = %g in exposition, %d in JSON snapshot", key, got, want)
