@@ -1,12 +1,13 @@
 package core
 
-// The equivalence suite guards the CSR + incremental-Phase1 refactor: the
+// The equivalence suite guards the CSR and stage-queue Phase1: the
 // optimized solvers must produce byte-identical outputs to the
-// pre-refactor semantics. Three angles:
+// full-rescan semantics. Three angles:
 //
-//   - refPhase1 reimplements the old first phase (full O(n·|path|) rescan
-//     of every instance on every step, no LHS caching) and must agree with
-//     the delta-driven phase1 on exact float duals and identical stacks;
+//   - refPhase1 reimplements the first phase as a full O(n·|path|) rescan
+//     of every instance at every step of every stage, with no caching,
+//     and must agree with phase1 on exact float duals and identical
+//     stacks;
 //   - every solver entry point must return identical results on a fresh
 //     Compiled, a warm Compiled, and a warm Compiled again (pooled-scratch
 //     reuse — catches scratch contamination);
@@ -105,8 +106,8 @@ type phase1Combo struct {
 }
 
 // phase1Combos lists the combinations the solvers run on a compiled
-// problem, from the variant declarations the entry points pick.
-func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
+// problem at ε = eps, from the variant declarations the entry points pick.
+func phase1Combos(t *testing.T, c *Compiled, eps float64) []phase1Combo {
 	t.Helper()
 	var combos []phase1Combo
 	p := c.Problem()
@@ -115,9 +116,9 @@ func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
 		t.Fatal(err)
 	}
 	if p.UnitHeight() {
-		combos = append(combos, phase1Combo{full, unitVariant("unit", full, 0.25)})
+		combos = append(combos, phase1Combo{full, unitVariant("unit", full, eps)})
 		if p.Kind == instance.KindLine {
-			combos = append(combos, phase1Combo{full, psVariant(full, 0.25)})
+			combos = append(combos, phase1Combo{full, psVariant(full, eps)})
 		}
 	}
 	wide, narrow, err := c.splitModels()
@@ -125,62 +126,145 @@ func phase1Combos(t *testing.T, c *Compiled) []phase1Combo {
 		t.Fatal(err)
 	}
 	if len(wide.m.Insts) > 0 {
-		combos = append(combos, phase1Combo{wide.m, unitVariant("wide", wide.m, 0.25)})
+		combos = append(combos, phase1Combo{wide.m, unitVariant("wide", wide.m, eps)})
 	}
 	if len(narrow.m.Insts) > 0 {
-		if v, err := narrowVariant(p, narrow.m, 0.25, "equivalence"); err == nil {
+		if v, err := narrowVariant(p, narrow.m, eps, "equivalence"); err == nil {
 			combos = append(combos, phase1Combo{narrow.m, v})
 		}
 	}
 	return combos
 }
 
-// TestPhase1MatchesFullRescanReference drives the incremental Phase1 and
-// the pre-refactor full-rescan reference over every scenario and every
-// applicable (rule, schedule) combination and requires exactly equal
-// duals (float bit equality) and identical stacks.
+// narrowTree is a 12-demand narrow tree problem whose least height is h:
+// its narrow schedule runs about 1/h stages per epoch, most of them with
+// no unsatisfied instance.
+func narrowTree(h float64) *instance.Problem {
+	rng := rand.New(rand.NewSource(5))
+	p := gen.TreeProblem(gen.TreeConfig{N: 16, Trees: 2, Demands: 12, HMin: 0.05, HMax: 0.5}, rng)
+	p.Demands[0].Height = h
+	return p
+}
+
+// phase1GenProblems are generated families beside the presets, chosen
+// so that most stages of an epoch are empty: a session-shaped unit tree,
+// narrow trees at tiny heights, a windowed line and a capacitated tree.
+func phase1GenProblems() map[string]*instance.Problem {
+	rng := rand.New(rand.NewSource(9))
+	return map[string]*instance.Problem{
+		"session-shaped":   sessionShaped(1),
+		"narrow-1e-2":      narrowTree(1e-2),
+		"narrow-1e-3":      narrowTree(1e-3),
+		"windowed-line":    gen.LineProblem(gen.LineConfig{Slots: 48, Resources: 3, Demands: 60, Unit: true, AccessProb: 0.6, MaxProc: 8, Slack: 8}, rng),
+		"capacitated-tree": gen.TreeProblem(gen.TreeConfig{N: 32, Trees: 2, Demands: 60, HMin: 0.1, HMax: 1.0, Capacity: 1.5, CapJitter: 0.4, AccessProb: 0.6}, rng),
+	}
+}
+
+// samePhase1 runs Phase1 and refPhase1 for one combination and seed and
+// requires exactly equal duals (float bit equality), identical stacks and
+// identical Phase2 selections.
+func samePhase1(t *testing.T, label string, combo phase1Combo, seed uint64) {
+	t.Helper()
+	gotDuals, gotStack, err := Phase1(combo.m, combo.v.rule, combo.v.sched, seed, nil)
+	if err != nil {
+		t.Fatalf("%s: phase1: %v", label, err)
+	}
+	wantDuals, wantStack, err := refPhase1(combo.m, combo.v.rule, combo.v.sched, seed)
+	if err != nil {
+		t.Fatalf("%s: refPhase1: %v", label, err)
+	}
+	for i := range wantDuals.Alpha {
+		if gotDuals.Alpha[i] != wantDuals.Alpha[i] {
+			t.Fatalf("%s: α[%d]=%v want %v", label, i, gotDuals.Alpha[i], wantDuals.Alpha[i])
+		}
+	}
+	for e := range wantDuals.Beta {
+		if gotDuals.Beta[e] != wantDuals.Beta[e] {
+			t.Fatalf("%s: β[%d]=%v want %v", label, e, gotDuals.Beta[e], wantDuals.Beta[e])
+		}
+	}
+	if len(gotStack) != len(wantStack) {
+		t.Fatalf("%s: stack len %d want %d", label, len(gotStack), len(wantStack))
+	}
+	for s := range wantStack {
+		g, w := gotStack[s], wantStack[s]
+		if g.Epoch != w.Epoch || g.Stage != w.Stage || g.Step != w.Step || !reflect.DeepEqual(g.Set, w.Set) {
+			t.Fatalf("%s: stack[%d] = %+v want %+v", label, s, g, w)
+		}
+	}
+	// The selections downstream of identical stacks must agree too
+	// (exercises the pooled phase2 against the wrapper).
+	if got, want := Phase2(combo.m, gotStack), Phase2(combo.m, wantStack); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: phase2 %v want %v", label, got, want)
+	}
+}
+
+// TestPhase1MatchesFullRescanReference drives the stage-queue Phase1 and
+// the full-rescan reference over every scenario and the generated
+// families, at ε = 0.05, 0.25 and 0.6, on every applicable (rule,
+// schedule) combination and three seeds.
 func TestPhase1MatchesFullRescanReference(t *testing.T) {
-	for name, p := range scenarioProblems(t) {
+	problems := scenarioProblems(t)
+	for name, p := range phase1GenProblems() {
+		problems[name] = p
+	}
+	for name, p := range problems {
 		c, err := Compile(p, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, combo := range phase1Combos(t, c) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				gotDuals, gotStack, err := Phase1(combo.m, combo.v.rule, combo.v.sched, seed, nil)
-				if err != nil {
-					t.Fatalf("%s/%s seed %d: phase1: %v", name, combo.v.name, seed, err)
-				}
-				wantDuals, wantStack, err := refPhase1(combo.m, combo.v.rule, combo.v.sched, seed)
-				if err != nil {
-					t.Fatalf("%s/%s seed %d: refPhase1: %v", name, combo.v.name, seed, err)
-				}
-				for i := range wantDuals.Alpha {
-					if gotDuals.Alpha[i] != wantDuals.Alpha[i] {
-						t.Fatalf("%s/%s seed %d: α[%d]=%v want %v", name, combo.v.name, seed, i, gotDuals.Alpha[i], wantDuals.Alpha[i])
-					}
-				}
-				for e := range wantDuals.Beta {
-					if gotDuals.Beta[e] != wantDuals.Beta[e] {
-						t.Fatalf("%s/%s seed %d: β[%d]=%v want %v", name, combo.v.name, seed, e, gotDuals.Beta[e], wantDuals.Beta[e])
-					}
-				}
-				if len(gotStack) != len(wantStack) {
-					t.Fatalf("%s/%s seed %d: stack len %d want %d", name, combo.v.name, seed, len(gotStack), len(wantStack))
-				}
-				for s := range wantStack {
-					g, w := gotStack[s], wantStack[s]
-					if g.Epoch != w.Epoch || g.Stage != w.Stage || g.Step != w.Step || !reflect.DeepEqual(g.Set, w.Set) {
-						t.Fatalf("%s/%s seed %d: stack[%d] = %+v want %+v", name, combo.v.name, seed, s, g, w)
-					}
-				}
-				// The selections downstream of identical stacks must agree
-				// too (exercises the pooled phase2 against the wrapper).
-				if got, want := Phase2(combo.m, gotStack), Phase2(combo.m, wantStack); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s seed %d: phase2 %v want %v", name, combo.v.name, seed, got, want)
+		for _, eps := range []float64{0.05, 0.25, 0.6} {
+			for _, combo := range phase1Combos(t, c, eps) {
+				for seed := uint64(1); seed <= 3; seed++ {
+					samePhase1(t, fmt.Sprintf("%s/%s ε=%g seed %d", name, combo.v.name, eps, seed), combo, seed)
 				}
 			}
 		}
+	}
+}
+
+// TestPhase1StepCapMatchesReference forces every stage's step cap to 1,
+// so the first stage that needs a second step aborts the phase, and
+// requires Phase1 and the reference to abort at the same (epoch, stage),
+// or both to finish.
+func TestPhase1StepCapMatchesReference(t *testing.T) {
+	problems := scenarioProblems(t)
+	for name, p := range phase1GenProblems() {
+		problems[name] = p
+	}
+	// stage parses the (epoch, stage) an abort names after prefix.
+	stage := func(label, prefix string, err error) [2]int {
+		var at [2]int
+		if err == nil {
+			return at
+		}
+		if _, serr := fmt.Sscanf(err.Error(), prefix+" stage (%d,%d)", &at[0], &at[1]); serr != nil {
+			t.Fatalf("%s: %q: %v", label, err, serr)
+		}
+		return at
+	}
+	aborts := 0
+	for name, p := range problems {
+		c, err := Compile(p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, combo := range phase1Combos(t, c, 0.25) {
+			label := name + "/" + combo.v.name
+			combo.v.sched.MaxSteps = 1
+			_, _, gotErr := Phase1(combo.m, combo.v.rule, combo.v.sched, 1, nil)
+			_, _, wantErr := refPhase1(combo.m, combo.v.rule, combo.v.sched, 1)
+			got, want := stage(label, "core:", gotErr), stage(label, "ref:", wantErr)
+			if (gotErr == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("%s: one step per stage: phase1 %v, reference %v", label, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				aborts++
+			}
+		}
+	}
+	if aborts == 0 {
+		t.Fatal("no combination needs a second step in any stage: the cap is never exercised")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"treesched/internal/instance"
 	"treesched/internal/lp"
 	"treesched/internal/obs"
 )
@@ -180,27 +179,4 @@ func (c *Compiled) Greedy(opts Options) (*Result, error) {
 // this API unchanged; new code sets Options.Telemetry on Greedy.
 func (c *Compiled) GreedyTraced(tel *obs.Trace) (*Result, error) {
 	return c.Greedy(Options{Telemetry: tel})
-}
-
-// instanceKey identifies an instance descriptor for set comparisons.
-func instanceKey(d instance.Inst) [4]int32 {
-	return [4]int32{d.Demand, d.Net, d.U, d.V}
-}
-
-// SameSelection reports whether two results selected identical instance
-// sets (by demand, network and placement).
-func SameSelection(a, b *Result) bool {
-	if len(a.Selected) != len(b.Selected) {
-		return false
-	}
-	set := make(map[[4]int32]bool, len(a.Selected))
-	for _, d := range a.Selected {
-		set[instanceKey(d)] = true
-	}
-	for _, d := range b.Selected {
-		if !set[instanceKey(d)] {
-			return false
-		}
-	}
-	return true
 }

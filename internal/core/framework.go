@@ -41,7 +41,8 @@ type Schedule struct {
 	// (1−ξ^j)-satisfied. For single-stage (Panconesi–Sozio style)
 	// schedules Xi is unused.
 	Xi float64
-	// Thresholds[j-1] is the satisfaction fraction targeted by stage j.
+	// Thresholds[j-1] is the satisfaction fraction targeted by stage j;
+	// it never decreases with j, which Phase1's stage queue relies on.
 	Thresholds []float64
 	// Lambda is the slackness guaranteed once the first phase ends: the
 	// final threshold.
@@ -202,22 +203,19 @@ type StackEntry struct {
 }
 
 // solveScratch holds every reusable buffer of one centralized solve:
-// duals, the Phase1 active flags and recheck stamps, the stack and its
-// set arena, the Phase2 feasibility state, and the Luby scratch. A warm
+// duals, the Phase1 stage queue and active list, the stack and its set
+// arena, the Phase2 feasibility state, and the Luby scratch. A warm
 // Compiled pools these per sub-model (see solverModel), so a steady-state
 // solve touches the heap only for its Result.
 type solveScratch struct {
-	duals    lp.Duals
-	active   []bool
-	stamp    []int32
-	stampGen int32
-	// lhs caches, per instance, the value of the last full rule.LHS
-	// recomputation; dirty marks instances whose duals moved since. Reads
-	// recompute on dirty and reuse the cache otherwise, so every
-	// satisfaction test compares exactly the number a fresh recomputation
-	// would produce — float-identical to the rescan reference.
-	lhs   []float64
-	dirty []bool
+	duals lp.Duals
+	// active flags the members of act, the running stage's unsatisfied
+	// instances, for LubyCover; queue is the epoch's min-heap of
+	// (stage, instance) keys, each a member's first failing stage as of
+	// its last evaluation (see phase1).
+	active []bool
+	act    []int32
+	queue  []uint64
 	// setArena backs every StackEntry.Set of one solve; entries are
 	// capped sub-slices, so later appends never alias earlier sets. When
 	// the arena grows, superseded backing arrays stay referenced by the
@@ -231,16 +229,12 @@ type solveScratch struct {
 }
 
 func newSolveScratch(m *model.Model) *solveScratch {
-	n := len(m.Insts)
 	return &solveScratch{
 		duals: lp.Duals{
 			Alpha: make([]float64, m.NumDemands),
 			Beta:  make([]float64, m.EdgeSpace),
 		},
-		active: make([]bool, n),
-		stamp:  make([]int32, n),
-		lhs:    make([]float64, n),
-		dirty:  make([]bool, n),
+		active: make([]bool, len(m.Insts)),
 		load:   make([]float64, m.EdgeSpace),
 		used:   make([]bool, m.NumDemands),
 	}
@@ -262,13 +256,9 @@ func grow[T any](s []T, n int) []T {
 // even though every dimension (instances, demands, cliques) may have
 // shifted slightly. The Luby scratch sizes itself per call.
 func (sc *solveScratch) adapt(m *model.Model) {
-	n := len(m.Insts)
 	sc.duals.Alpha = grow(sc.duals.Alpha, m.NumDemands)
 	sc.duals.Beta = grow(sc.duals.Beta, m.EdgeSpace)
-	sc.active = grow(sc.active, n)
-	sc.stamp = grow(sc.stamp, n)
-	sc.lhs = grow(sc.lhs, n)
-	sc.dirty = grow(sc.dirty, n)
+	sc.active = grow(sc.active, len(m.Insts))
 	sc.load = grow(sc.load, m.EdgeSpace)
 	sc.used = grow(sc.used, m.NumDemands)
 }
@@ -281,48 +271,88 @@ func (sc *solveScratch) reset() {
 	clear(sc.duals.Alpha)
 	clear(sc.duals.Beta)
 	clear(sc.active)
-	clear(sc.stamp)
-	sc.stampGen = 0
-	for i := range sc.dirty {
-		sc.dirty[i] = true
-	}
 	sc.setArena = sc.setArena[:0]
 	sc.stack = sc.stack[:0]
 }
 
-// Phase1 runs the first phase (§3.2/§5) centrally: per epoch and stage,
-// repeatedly find a maximal independent set of the still-unsatisfied group
-// members (via deterministic-priority Luby, seeded), raise them tight, and
-// push the set. It returns the dual assignment and the stack.
-func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace) (*lp.Duals, []StackEntry, error) {
-	return phase1(m, rule, sched, seed, trace, nil, newSolveScratch(m))
+// stageKey packs (stage, instance) into one heap key whose unsigned order
+// is the pair's lexicographic order, so the queue pops a stage's members
+// in ascending instance order.
+func stageKey(j int, i int32) uint64 { return uint64(j)<<32 | uint64(uint32(i)) }
+
+// stagePush adds key to the min-heap q.
+func stagePush(q []uint64, key uint64) []uint64 {
+	q = append(q, key)
+	for c := len(q) - 1; c > 0; {
+		p := (c - 1) / 2
+		if q[p] <= q[c] {
+			break
+		}
+		q[p], q[c] = q[c], q[p]
+		c = p
+	}
+	return q
 }
 
-// phase1 is Phase1 on a scratch supplied by the caller (pooled in a
-// solverModel, or freshly built). The returned duals and stack alias the
-// scratch: a pooling caller must finish with them before releasing it.
-// A non-nil tel records one span per epoch, whose counters sum its
-// stages (stages, steps, raises, Luby MIS phases), so a traced solve
-// records O(epochs) spans however many stages a narrow schedule runs;
-// the per-stage step counts are CollectTrace's StepsPerStage. tel is
-// read-only observation and never alters the computation — with
-// tel == nil the loop pays one predictable branch per epoch.
+// stagePop removes the minimum of the min-heap q.
+func stagePop(q []uint64) []uint64 {
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if q[p] <= q[c] {
+			break
+		}
+		q[p], q[c] = q[c], q[p]
+		p = c
+	}
+	return q
+}
+
+// phase1 runs the first phase (§3.2/§5) centrally on a scratch supplied
+// by the caller (pooled in a solverModel, or freshly built): per epoch and
+// stage, repeatedly find a maximal independent set of the still-unsatisfied
+// group members (deterministic-priority Luby, seeded), raise them tight,
+// and push the set. It returns the dual assignment and the stack, which
+// alias the scratch: a pooling caller must finish with them before
+// releasing it. A non-nil tel records one span per epoch, whose counters
+// sum its stages (stages, steps, raises, Luby MIS phases), so a traced
+// solve records O(epochs) spans however many stages a narrow schedule
+// runs; the per-stage step counts are CollectTrace's StepsPerStage. tel is
+// read-only observation and never alters the computation — with tel == nil
+// the loop pays one predictable branch per epoch.
 //
-// The active set is tracked incrementally instead of rescanned: each
-// stage starts with one scan of the epoch's layer-group bucket, and each
-// step re-evaluates satisfaction only for instances a raise could have
-// moved — the raised demand's instances (α changed) and the instances
-// whose path crosses a raised critical edge (β changed). Raises only
-// ever increase dual LHS values, so an untouched instance's satisfaction
-// cannot change and the tracked set stays exactly the rescan set; the
-// equivalence suite asserts byte-identical duals and stacks against a
-// full-rescan reference. Each step's Luby MIS runs on the model's own
-// clique cover, seeded from the epoch's bucket, which holds every active
-// instance in ascending order.
+// Stages are visited through a queue instead of by rescanning the epoch's
+// bucket at each of the b stages. An instance's first failing stage is the
+// least j whose threshold it misses (LHS < Thresholds[j-1]·p − Tol);
+// thresholds never decrease with j, so it is found by binary search, and
+// since raises never decrease any LHS, it only ever moves later. Each
+// group member is evaluated once at the epoch's start and queued at its
+// first failing stage; the loop jumps to the least queued stage,
+// re-evaluates the members queued there, and runs the stage's steps on
+// those still failing it (the others are re-queued later, or dropped once
+// they satisfy every stage). After each step's raises, every active
+// instance is re-evaluated and those now satisfying the stage leave for
+// their next failing stage. A queued key is thus a lower bound on its
+// member's first failing stage, and the active list is exactly the set a
+// full rescan at that stage would find. Every decision compares a full
+// rule.LHS of the current duals with the same float threshold, so duals,
+// stacks and traces are bit-identical to the full-rescan reference the
+// equivalence suite holds it to. The active list, ascending, also seeds
+// each step's Luby MIS over the model's own clique cover.
 func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace, tel *obs.Trace, sc *solveScratch) (*lp.Duals, []StackEntry, error) {
 	sc.reset()
 	duals := &sc.duals
 	active := sc.active
+	b := sched.Stages
+	th := sched.Thresholds[:b]
 	stepCounter := uint64(0)
 
 	// One priority closure per solve; prioStep is rebound each step.
@@ -330,32 +360,21 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 	prio := func(i int32, phase int) float64 {
 		return mis.Priority(seed, i, prioStep, phase)
 	}
-	// satisfied is lp.Satisfied through the lazy LHS cache: recompute on
-	// dirty, reuse the last recomputation otherwise. The cached value is
-	// always itself a full rule.LHS evaluation of the current duals, so
-	// the comparison is float-identical to an uncached rescan.
-	threshold := 0.0
-	satisfied := func(i int32) bool {
-		if sc.dirty[i] {
-			sc.lhs[i] = rule.LHS(m, duals, i)
-			sc.dirty[i] = false
+	// failsFrom evaluates instance i's LHS once and returns its first
+	// failing stage not before from, or b+1 when it satisfies them all.
+	failsFrom := func(i int32, from int) int {
+		lhs := rule.LHS(m, duals, i)
+		p := m.Insts[i].Profit
+		lo, hi := from, b+1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if lhs >= th[mid-1]*p-lp.Tol {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-		return sc.lhs[i] >= threshold*m.Insts[i].Profit-lp.Tol
-	}
-	// touch marks one raise-affected instance dirty and, when it is in
-	// the running stage's active set, re-evaluates it; the stamp
-	// deduplicates multi-edge hits within one step.
-	count := 0
-	touch := func(i int32) {
-		if sc.stamp[i] == sc.stampGen {
-			return
-		}
-		sc.stamp[i] = sc.stampGen
-		sc.dirty[i] = true
-		if active[i] && satisfied(i) {
-			active[i] = false
-			count--
-		}
+		return lo
 	}
 
 	for k := 1; k <= sched.Epochs; k++ {
@@ -365,29 +384,40 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 			group = m.GroupInsts.Row(int32(k - 1))
 		}
 		var stageSteps []int
+		if trace != nil {
+			stageSteps = make([]int, b)
+		}
 		var epochSteps, epochRaises, epochPhases int
-		for j := 1; j <= sched.Stages; j++ {
-			threshold = sched.Thresholds[j-1]
-			// U = group-k instances that are threshold-unsatisfied. One
-			// bucket scan per stage — cached LHS reads, so only instances
-			// raises touched since their last read walk their path; the
-			// step loop below maintains the set incrementally.
-			count = 0
-			for _, i := range group {
-				if !satisfied(i) {
+		q, act := sc.queue[:0], sc.act[:0]
+		for _, i := range group {
+			if f := failsFrom(i, 1); f <= b {
+				q = stagePush(q, stageKey(f, i))
+			}
+		}
+		for len(q) > 0 {
+			// Jump to the least queued stage and re-evaluate its members:
+			// raises since they were queued may have moved their first
+			// failing stage later.
+			j := int(q[0] >> 32)
+			for len(q) > 0 && int(q[0]>>32) == j {
+				i := int32(uint32(q[0]))
+				q = stagePop(q)
+				if f := failsFrom(i, j); f == j {
+					act = append(act, i)
 					active[i] = true
-					count++
+				} else if f <= b {
+					q = stagePush(q, stageKey(f, i))
 				}
 			}
 			steps := 0
-			for count > 0 {
+			for len(act) > 0 {
 				steps++
 				if steps > sched.MaxSteps {
 					return nil, nil, fmt.Errorf("core: stage (%d,%d) exceeded %d steps — kill-chain bound violated", k, j, sched.MaxSteps)
 				}
 				stepCounter++
 				prioStep = stepCounter
-				set, phases := sc.mis.LubyCover(m, group, active, prio)
+				set, phases := sc.mis.LubyCover(m, act, active, prio)
 				if trace != nil {
 					trace.MISPhases += phases
 				}
@@ -407,28 +437,29 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 					}
 				}
 				sc.stack = append(sc.stack, StackEntry{Epoch: k, Stage: j, Step: steps, Set: set})
-				// Delta-driven maintenance: a raise moves α of its demand
-				// and β of its critical edges, so the instances it could
-				// have satisfied — or whose cached LHS it staled — are the
-				// demand's instances and those whose path crosses a raised
-				// critical edge. Everything else keeps a valid cache.
-				sc.stampGen++
-				for _, i := range set {
-					for _, o := range m.InstsOf.Row(m.Insts[i].Demand) {
-						touch(o)
+				// Only the active instances can still fail this stage:
+				// the rest satisfied it before the raises, which moved no
+				// LHS down.
+				keep := act[:0]
+				for _, i := range act {
+					f := failsFrom(i, j)
+					if f == j {
+						keep = append(keep, i)
+						continue
 					}
-					for _, e := range m.Pi.Row(i) {
-						for _, o := range m.EdgeInsts.Row(e) {
-							touch(o)
-						}
+					active[i] = false
+					if f <= b {
+						q = stagePush(q, stageKey(f, i))
 					}
 				}
+				act = keep
 			}
 			epochSteps += steps
 			if trace != nil {
-				stageSteps = append(stageSteps, steps)
+				stageSteps[j-1] = steps
 			}
 		}
+		sc.queue, sc.act = q, act
 		if trace != nil {
 			trace.StepsPerStage = append(trace.StepsPerStage, stageSteps)
 		}
@@ -443,19 +474,15 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 	return duals, sc.stack, nil
 }
 
-// Phase2 pops the stack in reverse and greedily adds instances that keep
+// phase2 pops the stack in reverse and greedily adds instances that keep
 // the solution feasible (§3.2): at most one instance per demand, and on
 // every edge the selected heights fit within capacity. For unit heights
 // and unit capacities this is exactly edge-disjointness, and for wide
 // instances (h > cap/2) capacity-fit coincides with pairwise conflict, so
-// one implementation serves all variants.
-func Phase2(m *model.Model, stack []StackEntry) []int32 {
-	return phase2(m, stack, make([]float64, m.EdgeSpace), make([]bool, m.NumDemands), nil)
-}
-
-// phase2 is Phase2 over caller-supplied buffers (pooled in a
-// solveScratch): load and used are cleared here, selections are appended
-// to selected (sliced to zero length by the caller when reusing).
+// one implementation serves all variants. It runs over caller-supplied
+// buffers (pooled in a solveScratch): load and used are cleared here,
+// selections are appended to selected (sliced to zero length by the
+// caller when reusing).
 func phase2(m *model.Model, stack []StackEntry, load []float64, used []bool, selected []int32) []int32 {
 	clear(load)
 	clear(used)

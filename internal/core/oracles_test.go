@@ -3,15 +3,54 @@ package core
 import (
 	"fmt"
 
+	"treesched/internal/instance"
 	"treesched/internal/lp"
 	"treesched/internal/model"
 )
+
+// The wrappers and invariant checks below serve the tests only: the
+// solvers run phase1 and phase2 on pooled scratches, and the checks
+// restate properties of §3.2 that the tests hold every run to.
+
+// Phase1 runs the first phase (§3.2/§5) centrally on a fresh scratch, so
+// the returned duals and stack are the caller's to keep.
+func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace) (*lp.Duals, []StackEntry, error) {
+	return phase1(m, rule, sched, seed, trace, nil, newSolveScratch(m))
+}
+
+// Phase2 runs the second phase over fresh buffers.
+func Phase2(m *model.Model, stack []StackEntry) []int32 {
+	return phase2(m, stack, make([]float64, m.EdgeSpace), make([]bool, m.NumDemands), nil)
+}
+
+// instanceKey identifies an instance descriptor for set comparisons.
+func instanceKey(d instance.Inst) [4]int32 {
+	return [4]int32{d.Demand, d.Net, d.U, d.V}
+}
+
+// SameSelection reports whether two results selected identical instance
+// sets (by demand, network and placement).
+func SameSelection(a, b *Result) bool {
+	if len(a.Selected) != len(b.Selected) {
+		return false
+	}
+	set := make(map[[4]int32]bool, len(a.Selected))
+	for _, d := range a.Selected {
+		set[instanceKey(d)] = true
+	}
+	for _, d := range b.Selected {
+		if !set[instanceKey(d)] {
+			return false
+		}
+	}
+	return true
+}
 
 // CheckInterference verifies the interference property of §3.2 on a raise
 // trace: for any pair of overlapping demand instances d1 raised before d2,
 // path(d2) must include at least one critical edge of π(d1). This is the
 // hypothesis of Lemma 3.1, so every run of every algorithm must satisfy
-// it; tests and the E-experiments call this on collected traces. O(R²).
+// it; the tests call this on collected traces. O(R²).
 func CheckInterference(m *model.Model, trace *Trace) error {
 	if trace == nil {
 		return fmt.Errorf("core: CheckInterference needs a collected trace")

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -209,5 +210,30 @@ func BenchmarkLubyCover(b *testing.B) {
 	for b.Loop() {
 		seed++
 		sc.LubyCover(m, cands, active, seeded(seed))
+	}
+}
+
+// TestLubyCoverStampGenerationWraps runs LubyCover on a scratch whose
+// clique-stamp generation is at its maximum, with every clique stamped
+// with the value the counter would wrap to, as a stamp written 2³²
+// generations earlier would be, and naming as its minimum an inactive
+// vertex whose stale priority beats every live one. The call must still
+// equal the explicit routine: a stale stamp matching a live generation
+// would keep that minimum, so no vertex would win the phase.
+func TestLubyCoverStampGenerationWraps(t *testing.T) {
+	m, g := buildGraphs(t, 4)
+	sc := new(Scratch)
+	active := allActive(g.N)
+	active[0] = false
+	sc.LubyCover(m, everyInst(m), active, seeded(1))
+	for k := range sc.cliqueStamp {
+		sc.cliqueStamp[k], sc.top1[k] = math.MinInt32, 0
+	}
+	sc.prio[0] = -1
+	sc.cliqueGen = math.MaxInt32
+	want, wantPhases := LubyFunc(g.Adj, active, seeded(2))
+	got, gotPhases := sc.LubyCover(m, everyInst(m), active, seeded(2))
+	if gotPhases != wantPhases || !slices.Equal(got, want) {
+		t.Fatalf("LubyCover across the wrap: %v in %d phases, explicit %v in %d", got, gotPhases, want, wantPhases)
 	}
 }

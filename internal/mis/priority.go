@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"math"
 	"slices"
 
 	"treesched/internal/model"
@@ -44,9 +45,11 @@ type Scratch struct {
 	und     []int32
 	winners []int32
 	out     []int32
-	// Per-clique phase minima, reset lazily: a clique's top1 entry is
-	// valid only when its stamp matches the current generation, so phases
-	// touch only the cliques of still-undecided vertices.
+	// Per-clique stamps, reset lazily: a clique's top1 entry is the
+	// phase's minimum only when its stamp matches the offer generation,
+	// and a clique holds a winner when its stamp matches the exclusion
+	// generation that follows, so phases touch only the cliques of
+	// still-undecided vertices and of winners.
 	top1        []int32
 	cliqueStamp []int32
 	cliqueGen   int32
@@ -91,17 +94,20 @@ func (s *Scratch) compactUndecided() {
 // m.InstsOf.Row(a), edge clique D+e (D = m.InstsOf.Rows()) is
 // m.EdgeInsts.Row(e), and instance i lies in its demand's clique and in
 // one clique per edge of m.Paths.Row(i). cands lists, ascending, a
-// superset of the active instances — Phase1 passes its epoch's layer
-// group — and seeds the worklist, so a call costs nothing for instances
+// superset of the active instances — Phase1 passes its stage's active
+// list — and seeds the worklist, so a call costs nothing for instances
 // outside it.
 //
 // Winners are the per-clique minima by (priority, index), exclusions are
 // clique co-members. A singleton clique changes no winner and excludes
 // nobody, so with the same priority function LubyCover returns exactly
 // the set and phase count LubyFunc returns on conflict.Build(m). Each
-// phase walks only the undecided vertices and their cliques (minima
-// accumulated in lazily-stamped per-clique slots), so the cost tracks the
-// shrinking frontier rather than the full cover.
+// phase walks only the undecided vertices and their cliques: minima
+// accumulate in lazily-stamped per-clique slots, and exclusion stamps the
+// winners' cliques and then sweeps the undecided frontier for members of
+// a stamped clique, instead of walking the winners' whole rows — rows
+// that list every instance on an edge, candidate or not. The cost tracks
+// the shrinking frontier rather than the full cover.
 func (s *Scratch) LubyCover(m *model.Model, cands []int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
 	nd := int32(m.InstsOf.Rows())
 	s.ensure(len(m.Insts), int(nd)+m.EdgeInsts.Rows())
@@ -122,20 +128,13 @@ func (s *Scratch) LubyCover(m *model.Model, cands []int32, active []bool, prio f
 			top1[k] = i
 		}
 	}
-	exclude := func(clique []int32) {
-		for _, j := range clique {
-			if st[j] == undecided {
-				st[j] = excluded
-			}
-		}
-	}
 	phase := 0
 	for len(s.und) > 0 {
 		phase++
 		for _, i := range s.und {
 			p[i] = prio(i, phase)
 		}
-		s.cliqueGen++
+		s.nextGen()
 		for _, i := range s.und {
 			offer(m.Insts[i].Demand, i)
 			for _, e := range m.Paths.Row(i) {
@@ -155,20 +154,51 @@ func (s *Scratch) LubyCover(m *model.Model, cands []int32, active []bool, prio f
 			}
 			s.winners = append(s.winners, i)
 		}
+		// Stamp the winners' cliques under a fresh generation, then keep
+		// the undecided members that lie in none of them.
+		gen := s.nextGen()
 		for _, i := range s.winners {
 			st[i] = inMIS
 			s.out = append(s.out, i)
-		}
-		for _, i := range s.winners {
-			exclude(m.InstsOf.Row(m.Insts[i].Demand))
+			stamp[m.Insts[i].Demand] = gen
 			for _, e := range m.Paths.Row(i) {
-				exclude(m.EdgeInsts.Row(e))
+				stamp[nd+e] = gen
 			}
 		}
-		s.compactUndecided()
+		keep := s.und[:0]
+	sweep:
+		for _, i := range s.und {
+			if st[i] != undecided {
+				continue
+			}
+			if stamp[m.Insts[i].Demand] == gen {
+				st[i] = excluded
+				continue
+			}
+			for _, e := range m.Paths.Row(i) {
+				if stamp[nd+e] == gen {
+					st[i] = excluded
+					continue sweep
+				}
+			}
+			keep = append(keep, i)
+		}
+		s.und = keep
 	}
 	slices.Sort(s.out)
 	return s.out, phase
+}
+
+// nextGen advances the clique-stamp generation. Before the counter would
+// wrap it clears every stamp, the ones past the current length included,
+// so no stale stamp can ever equal a live generation.
+func (s *Scratch) nextGen() int32 {
+	if s.cliqueGen == math.MaxInt32 {
+		clear(s.cliqueStamp[:cap(s.cliqueStamp)])
+		s.cliqueGen = 0
+	}
+	s.cliqueGen++
+	return s.cliqueGen
 }
 
 // LubyFunc computes a maximal independent set of the subgraph of the

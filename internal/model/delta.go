@@ -191,7 +191,7 @@ func (m *Model) WithDelta(p *instance.Problem, oldOf []int32) (*Model, error) {
 		nm.InstsOf.Off[a+1] = int32(i)
 	}
 
-	if err := nm.check(); err != nil {
+	if err := nm.checkRows(srcOld); err != nil {
 		return nil, err
 	}
 

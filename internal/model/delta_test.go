@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -257,5 +258,73 @@ func TestFilterCopyAllocations(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: FilterCopy allocates %v times, budget %d", name, got, budget)
 		}
+	}
+}
+
+// TestWithDeltaChecksFreshRows pins what WithDelta's consistency check
+// covers: a critical edge off its path in a row WithDelta computed is an
+// error, while copied rows, which passed the check in the model they
+// come from, are not re-walked (check still covers every row).
+func TestWithDeltaChecksFreshRows(t *testing.T) {
+	pair := deltaProblems(5)["tree"]
+	base, reservoir := pair[0], pair[1].Demands
+	m, err := Build(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, oldOf := splice(base, map[int]bool{3: true}, reservoir[:2])
+	nm, err := m.WithDelta(np, oldOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nm.checkRows(nil); err != nil {
+		t.Fatalf("uncorrupted delta model: %v", err)
+	}
+	srcOld := make([]int32, len(nm.Insts))
+	fresh, copied := int32(-1), int32(-1)
+	for i, d := range nm.Insts {
+		srcOld[i] = oldOf[d.Demand]
+		if nm.Pi.RowLen(int32(i)) == 0 {
+			continue
+		}
+		if srcOld[i] < 0 && fresh < 0 {
+			fresh = int32(i)
+		} else if srcOld[i] >= 0 && copied < 0 {
+			copied = int32(i)
+		}
+	}
+	if fresh < 0 || copied < 0 {
+		t.Fatalf("need a fresh and a copied row with critical edges (fresh %d, copied %d)", fresh, copied)
+	}
+	// offPath returns an edge of the edge space not on instance i's path.
+	offPath := func(i int32) int32 {
+		for e := int32(0); int(e) < nm.EdgeSpace; e++ {
+			if !slices.Contains(nm.Paths.Row(i), e) {
+				return e
+			}
+		}
+		t.Fatalf("instance %d's path covers the edge space", i)
+		return -1
+	}
+	corrupt := func(i int32) (undo func()) {
+		k := nm.Pi.Off[i]
+		was := nm.Pi.Data[k]
+		nm.Pi.Data[k] = offPath(i)
+		return func() { nm.Pi.Data[k] = was }
+	}
+
+	undo := corrupt(fresh)
+	want := fmt.Sprintf("model: instance %d critical edge %d not on its path", fresh, nm.Pi.Data[nm.Pi.Off[fresh]])
+	if err := nm.checkRows(srcOld); err == nil || err.Error() != want {
+		t.Fatalf("corrupt fresh row %d: got %v, want %q", fresh, err, want)
+	}
+	undo()
+
+	defer corrupt(copied)()
+	if err := nm.checkRows(srcOld); err != nil {
+		t.Fatalf("a copied row is re-checked: %v", err)
+	}
+	if err := nm.check(); err == nil {
+		t.Fatalf("check accepted a critical edge off its path in row %d", copied)
 	}
 }

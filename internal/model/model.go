@@ -43,11 +43,11 @@ type Model struct {
 	// empty for filtered models).
 	InstsOf CSR
 	// GroupInsts row g-1 lists the instances of layer group g, ascending
-	// — the per-epoch bucket Phase1 scans instead of all instances.
+	// — the per-epoch bucket Phase1 queues instead of all instances.
 	GroupInsts CSR
 	// EdgeInsts row e lists the instances whose path contains edge e,
-	// ascending — the inverse of Paths. It drives the delta-driven
-	// Phase1 re-evaluation and the edge cliques of the conflict cover.
+	// ascending — the inverse of Paths, and the edge cliques of the
+	// conflict cover.
 	EdgeInsts CSR
 
 	NumDemands int
@@ -320,10 +320,18 @@ func (m *Model) deriveScalars() {
 	}
 }
 
-// check validates internal consistency (π ⊆ path, groups in range). The
-// path-membership test uses one reusable seen-stamp slice — stamping edge
-// e with instance i marks "e on path(i)" without a per-instance map.
-func (m *Model) check() error {
+// check validates internal consistency (π ⊆ path, groups in range) of
+// every row.
+func (m *Model) check() error { return m.checkRows(nil) }
+
+// checkRows is check with the path and π tests run only on the rows
+// srcOld marks fresh (negative; every row when srcOld is nil): WithDelta
+// copies the other rows from a model that passed check over the same
+// fixed edge space, so they cannot fail it. Groups are range-checked on
+// every instance. The path-membership test uses one reusable seen-stamp
+// slice — stamping edge e with instance i marks "e on path(i)" without a
+// per-instance map.
+func (m *Model) checkRows(srcOld []int32) error {
 	seen := make([]int32, m.EdgeSpace)
 	for e := range seen {
 		seen[e] = -1
@@ -331,6 +339,9 @@ func (m *Model) check() error {
 	for i := range m.Insts {
 		if m.Group[i] < 1 || int(m.Group[i]) > m.NumGroups {
 			return fmt.Errorf("model: instance %d group %d outside 1..%d", i, m.Group[i], m.NumGroups)
+		}
+		if srcOld != nil && srcOld[i] >= 0 {
+			continue
 		}
 		for _, e := range m.Paths.Row(int32(i)) {
 			if e < 0 || int(e) >= m.EdgeSpace {

@@ -5,6 +5,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"treesched/internal/instance"
 )
@@ -12,11 +13,14 @@ import (
 // tol absorbs floating-point accumulation in load sums.
 const tol = 1e-9
 
-// Solution validates a selected instance set against p. It returns nil
-// when the solution is feasible.
+// Solution validates a selected instance set against a valid problem p.
+// It returns nil when the solution is feasible. The per-demand and
+// per-edge state is dense, and every path is written into one reused
+// buffer, so the allocations do not grow with the selection.
 func Solution(p *instance.Problem, sel []instance.Inst) error {
-	seen := make(map[int32]bool)
-	load := make(map[int32]float64)
+	seen := make([]bool, len(p.Demands))
+	load := make([]float64, p.EdgeSpace())
+	var path []int32
 	for _, d := range sel {
 		if int(d.Demand) < 0 || int(d.Demand) >= len(p.Demands) {
 			return fmt.Errorf("verify: instance references demand %d of %d", d.Demand, len(p.Demands))
@@ -59,8 +63,13 @@ func Solution(p *instance.Problem, sel []instance.Inst) error {
 			}
 		}
 
-		// Bandwidth (§2 condition ii).
-		for _, e := range p.PathEdges(d) {
+		// Bandwidth (§2 condition ii). The instance's network and
+		// endpoints passed the checks above, so its path lies in p's
+		// edge space.
+		n := p.PathLen(d)
+		path = slices.Grow(path[:0], n)[:n]
+		p.FillPathEdges(path, d)
+		for _, e := range path {
 			load[e] += d.Height
 			if load[e] > p.Capacity(e)+tol {
 				return fmt.Errorf("verify: edge %d overloaded: %g > capacity %g", e, load[e], p.Capacity(e))
