@@ -50,22 +50,6 @@ func TestAdversarialHubStaysWithinBound(t *testing.T) {
 	}
 }
 
-func TestAdversarialDistributedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := gen.AdversarialHub(3, 4, 2, 12, rng)
-	central, err := solve(p, "tree-unit", Options{Epsilon: 0.25, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distrib, err := solveDist(p, "dist-unit", Options{Epsilon: 0.25, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameSelection(central, distrib.Result) {
-		t.Fatal("adversarial workload broke the distributed/centralized equivalence")
-	}
-}
-
 // TestTreeUnitPropertyBased drives the full pipeline from arbitrary quick
 // inputs: any generated problem must yield a feasible solution whose
 // certified ratio respects the instantiated bound.

@@ -70,14 +70,14 @@ func appendDuals(b []byte, label string, d *lp.Duals) []byte {
 }
 
 // TestDistributedOutputsPinned pins the distributed protocol's outputs
-// and its merged duals bit for bit. The equivalence suites compare
-// DualUB only within a tolerance (1e-6 against centralized, 1e-12 pool
-// against blocking), so a reordered float addition in the node-local dual
-// arithmetic that moves an output bit would pass them; it cannot pass the
-// output digest. A rounding change that no output keeps, such as one δ
-// off by an ulp that the DualUB sum absorbs, passes the output digest but
-// not the duals digest, which hashes every α and β assembleDistributed
-// merges. It covers dist-unit, dist-narrow and dist-ps on fixed-seed gen
+// and its merged duals bit for bit. The pool-vs-blocking suite compares
+// DualUB only within 1e-12, and TestDistributedMatchesCentralizedBytes
+// holds the protocol to the centralized driver, which shares its dual
+// arithmetic, so a reordered float addition in lp's rules passes both;
+// it cannot pass the output digest. A rounding change that no output
+// keeps, such as one δ off by an ulp that the DualUB sum absorbs, passes
+// the output digest but not the duals digest, which hashes every α and β
+// assembleDistributed merges. It covers dist-unit, dist-narrow and dist-ps on fixed-seed gen
 // families, on both engines and at two pool worker counts, adaptive and
 // (on at most 12 demands) fixed-rounds. An explicit 3-worker pool run of
 // each, which shards even the smallest case, must equal its 1-worker run
@@ -86,7 +86,7 @@ func appendDuals(b []byte, label string, d *lp.Duals) []byte {
 func TestDistributedOutputsPinned(t *testing.T) {
 	const (
 		pinned      = "dfbc236b1b40fb785703a27a7bd312e2d53fcf1aae14743fecf358dfa23f7399"
-		pinnedDuals = "1ceae344eab1b2457061652eae184cb3477bec8786ba4809ad3a570aa615cf4d"
+		pinnedDuals = "0f5cc314a07b0974a112366e1435537102b0e415a655c584f71ceab0ecca92bb"
 	)
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 	unitTree := gen.TreeConfig{N: 32, Trees: 3, Unit: true}

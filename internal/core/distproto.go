@@ -138,7 +138,6 @@ func runProtocol(p *instance.Problem, m *model.Model, v variant, opts Options) (
 		}
 	}
 
-	dr := localRule(v.rule)
 	machines := make([]*protoEngine, m.NumDemands)
 	// mk is called once per processor, possibly concurrently for distinct
 	// ids (the pool engine constructs shard-parallel); it touches only
@@ -148,7 +147,7 @@ func runProtocol(p *instance.Problem, m *model.Model, v variant, opts Options) (
 			sched:       &v.sched,
 			seed:        opts.Seed,
 			m:           m,
-			dr:          dr,
+			rule:        v.rule,
 			fixedSteps:  fixedSteps,
 			fixedPhases: fixedPhases,
 		}
@@ -211,7 +210,7 @@ type protoEngine struct {
 	sched       *Schedule
 	seed        uint64
 	m           *model.Model
-	dr          distRule
+	rule        lp.Rule
 	ns          nodeState
 	fixedSteps  int
 	fixedPhases int
@@ -357,7 +356,7 @@ func (e *protoEngine) stageTop() dist.Req {
 	e.participating = e.participating[:0]
 	for x, i := range e.ns.mine {
 		if int(e.m.Group[i]) == e.k &&
-			e.ns.lhsOf(e.m, e.dr, x) < threshold*e.m.Insts[i].Profit-lp.Tol {
+			e.ns.lhsOf(e.m, e.rule, x) < threshold*e.m.Insts[i].Profit-lp.Tol {
 			e.participating = append(e.participating, int32(x))
 		}
 	}
@@ -522,7 +521,7 @@ func (e *protoEngine) dominated(i int32, in []dist.Message) bool {
 func (e *protoEngine) reqRaise() dist.Req {
 	rp := e.arena.nextRaise()
 	for _, x := range e.winners {
-		delta := e.ns.raiseLocal(e.m, e.dr, int(x))
+		delta := e.ns.raiseLocal(e.m, e.rule, int(x))
 		e.ns.stack = append(e.ns.stack, x)
 		e.ns.raiseSteps = append(e.ns.raiseSteps, int(e.stepCounter))
 		rp.Insts = append(rp.Insts, e.ns.mine[x])
@@ -541,7 +540,7 @@ func (e *protoEngine) absorbRaises(in []dist.Message) {
 	for _, msg := range in {
 		pl := msg.Payload.(*raisePayload)
 		for x, inst := range pl.Insts {
-			e.ns.applyRemoteRaise(e.m, e.dr, inst, pl.Deltas[x])
+			e.ns.applyRaise(e.m, e.rule, inst, pl.Deltas[x])
 		}
 	}
 }
@@ -572,22 +571,8 @@ func (e *protoEngine) p2Round() dist.Req {
 		x := int(e.ns.stack[e.p2stackTop])
 		e.p2stackTop--
 		i := e.ns.mine[x]
-		h := e.m.Insts[i].Height
-		load := e.ns.p2load
-		fits := !e.p2demandUsed
-		if fits {
-			for _, s := range e.ns.pathSlots(x) {
-				if load[s]+h > e.m.Cap[e.ns.edges[s]]+lp.Tol {
-					fits = false
-					break
-				}
-			}
-		}
-		if fits {
+		if !e.p2demandUsed && place(e.m, i, e.ns.p2load, e.ns.pathSlots(x)) {
 			e.p2demandUsed = true
-			for _, s := range e.ns.pathSlots(x) {
-				load[s] += h
-			}
 			e.ns.selected = append(e.ns.selected, i)
 			announce = i
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"treesched/internal/dist"
 	"treesched/internal/instance"
@@ -12,9 +11,10 @@ import (
 
 // The distributed drivers in this file run the variants of solvers.go —
 // the same declaration the centralized drivers run — on the shared
-// protocol engine in distproto.go. The node-local dual arithmetic lives
-// in distrule.go; the synchronous runtime the protocol executes on is
-// internal/dist.
+// protocol engine in distproto.go. A processor's state lives in
+// distrule.go, and its dual arithmetic is the lp.Rule the centralized
+// drivers run, over the processor's β copies; the synchronous runtime the
+// protocol executes on is internal/dist.
 
 // DistributedResult couples an algorithm Result with the measured network
 // cost of the message-passing execution.
@@ -94,12 +94,13 @@ var mergedDuals func(*lp.Duals)
 //
 // β is merged by walking each processor's relevant-edge row in processor
 // order: an edge takes the copy of the first processor that has it, and
-// every later copy must agree within 1e-6. Whoever raises an edge shares
-// its network with every processor that has the edge on a path, so all
-// of them receive the raise in the step it happens; one step's winners
-// are independent and so raise disjoint edges. Every copy of an edge
-// therefore receives the same increments in the same order, and an edge
-// no raise touched is zero in every copy.
+// every later copy must equal it bit for bit. Whoever raises an edge
+// shares its network with every processor that has the edge on a path,
+// so all of them receive the raise in the step it happens; one step's
+// winners are independent and so raise disjoint edges. Every copy of an
+// edge therefore receives the same increments in the same order, and an
+// edge no raise touched is zero in every copy. A NaN copy compares
+// unequal to every copy, so it fails the merge too.
 func assembleDistributed(m *model.Model, v *variant, machines []*protoEngine, stats dist.Stats) (*DistributedResult, error) {
 	duals := lp.NewDuals(m)
 	seen := make([]bool, len(duals.Beta))
@@ -115,7 +116,7 @@ func assembleDistributed(m *model.Model, v *variant, machines []*protoEngine, st
 			if !seen[edge] {
 				seen[edge] = true
 				duals.Beta[edge] = b
-			} else if prev := duals.Beta[edge]; math.Abs(prev-b) > 1e-6*(1+math.Abs(prev)) {
+			} else if prev := duals.Beta[edge]; b != prev {
 				return nil, fmt.Errorf("core: distributed β copies diverged on edge %d: %g vs %g", edge, prev, b)
 			}
 		}

@@ -65,7 +65,7 @@ func refPhase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64) (*lp.D
 					return mis.Priority(seed, i, sc, phase)
 				})
 				for _, i := range set {
-					rule.Raise(m, duals, i)
+					lp.Raise(rule, m, duals, i)
 				}
 				stack = append(stack, StackEntry{Epoch: k, Stage: j, Step: steps, Set: set})
 			}

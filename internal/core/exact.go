@@ -75,29 +75,17 @@ func (c *Compiled) Exact(opts Options) (*Result, error) {
 		i := order[k]
 		d := m.Insts[i]
 		// Branch 1: take i if feasible.
-		if !used[d.Demand] {
-			fits := true
+		if !used[d.Demand] && place(m, i, load, m.Paths.Row(i)) {
+			used[d.Demand] = true
+			cur = append(cur, i)
+			if err := dfs(k+1, profit+d.Profit); err != nil {
+				return err
+			}
+			cur = cur[:len(cur)-1]
 			for _, e := range m.Paths.Row(i) {
-				if load[e]+d.Height > m.Cap[e]+lp.Tol {
-					fits = false
-					break
-				}
+				load[e] -= d.Height
 			}
-			if fits {
-				used[d.Demand] = true
-				for _, e := range m.Paths.Row(i) {
-					load[e] += d.Height
-				}
-				cur = append(cur, i)
-				if err := dfs(k+1, profit+d.Profit); err != nil {
-					return err
-				}
-				cur = cur[:len(cur)-1]
-				for _, e := range m.Paths.Row(i) {
-					load[e] -= d.Height
-				}
-				used[d.Demand] = false
-			}
+			used[d.Demand] = false
 		}
 		// Branch 2: skip i.
 		return dfs(k+1, profit)
@@ -149,23 +137,10 @@ func (c *Compiled) Greedy(opts Options) (*Result, error) {
 	res := &Result{Name: "greedy", Model: m}
 	for _, i := range order {
 		d := m.Insts[i]
-		if used[d.Demand] {
-			continue
-		}
-		fits := true
-		for _, e := range m.Paths.Row(i) {
-			if load[e]+d.Height > m.Cap[e]+lp.Tol {
-				fits = false
-				break
-			}
-		}
-		if !fits {
+		if used[d.Demand] || !place(m, i, load, m.Paths.Row(i)) {
 			continue
 		}
 		used[d.Demand] = true
-		for _, e := range m.Paths.Row(i) {
-			load[e] += d.Height
-		}
 		res.Selected = append(res.Selected, d)
 		res.Profit += d.Profit
 	}

@@ -343,7 +343,7 @@ func stagePop(q []uint64) []uint64 {
 // their next failing stage. A queued key is thus a lower bound on its
 // member's first failing stage, and the active list is exactly the set a
 // full rescan at that stage would find. Every decision compares a full
-// rule.LHS of the current duals with the same float threshold, so duals,
+// lp.LHS of the current duals with the same float threshold, so duals,
 // stacks and traces are bit-identical to the full-rescan reference the
 // equivalence suite holds it to. The active list, ascending, also seeds
 // each step's Luby MIS over the model's own clique cover.
@@ -363,7 +363,7 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 	// failsFrom evaluates instance i's LHS once and returns its first
 	// failing stage not before from, or b+1 when it satisfies them all.
 	failsFrom := func(i int32, from int) int {
-		lhs := rule.LHS(m, duals, i)
+		lhs := lp.LHS(rule, m, duals, i)
 		p := m.Insts[i].Profit
 		lo, hi := from, b+1
 		for lo < hi {
@@ -429,7 +429,7 @@ func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Tr
 				sc.setArena = append(sc.setArena, set...)
 				set = sc.setArena[start:len(sc.setArena):len(sc.setArena)]
 				for _, i := range set {
-					delta := rule.Raise(m, duals, i)
+					delta := lp.Raise(rule, m, duals, i)
 					if trace != nil {
 						trace.Events = append(trace.Events, RaiseEvent{
 							Inst: i, Delta: delta, Epoch: k, Stage: j, Step: steps,
@@ -488,27 +488,32 @@ func phase2(m *model.Model, stack []StackEntry, load []float64, used []bool, sel
 	clear(used)
 	for s := len(stack) - 1; s >= 0; s-- {
 		for _, i := range stack[s].Set {
-			if used[m.Insts[i].Demand] {
-				continue
+			if d := m.Insts[i].Demand; !used[d] && place(m, i, load, m.Paths.Row(i)) {
+				used[d] = true
+				selected = append(selected, i)
 			}
-			h := m.Insts[i].Height
-			fits := true
-			for _, e := range m.Paths.Row(i) {
-				if load[e]+h > m.Cap[e]+lp.Tol {
-					fits = false
-					break
-				}
-			}
-			if !fits {
-				continue
-			}
-			used[m.Insts[i].Demand] = true
-			for _, e := range m.Paths.Row(i) {
-				load[e] += h
-			}
-			selected = append(selected, i)
 		}
 	}
 	slices.Sort(selected)
 	return selected
+}
+
+// place adds instance i's height to the load of its path when it fits
+// there, load + h ≤ cap + Tol on every edge, and reports whether it did.
+// Like lp.Rule.LHS it reads the load of the t-th edge of m.Paths.Row(i)
+// at load[at[t]]: at is the path itself for a load over the whole edge
+// space (phase2, Exact, Greedy) and a processor's path slots for its
+// phase-2 load in the protocol, so both drivers test a fit with the same
+// float operations.
+func place(m *model.Model, i int32, load []float64, at []int32) bool {
+	h := m.Insts[i].Height
+	for t, e := range m.Paths.Row(i) {
+		if load[at[t]]+h > m.Cap[e]+lp.Tol {
+			return false
+		}
+	}
+	for _, s := range at {
+		load[s] += h
+	}
+	return true
 }

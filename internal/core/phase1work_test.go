@@ -10,30 +10,33 @@ import (
 	"treesched/internal/model"
 )
 
-// countingRule counts the LHS evaluations Phase1 makes through it. Raise
-// evaluates its own slack through the wrapped rule, uncounted.
+// countingRule counts the LHS evaluations made through it. lp.Raise
+// evaluates its slack through the same method, so the count holds one
+// evaluation per raise besides Phase1's own satisfaction reads.
 type countingRule struct {
 	lp.Rule
 	n *int
 }
 
-func (r countingRule) LHS(m *model.Model, d *lp.Duals, i int32) float64 {
+func (r countingRule) LHS(m *model.Model, i int32, alpha float64, beta []float64, at []int32) float64 {
 	*r.n++
-	return r.Rule.LHS(m, d, i)
+	return r.Rule.LHS(m, i, alpha, beta, at)
 }
 
-// phase1Work runs v's Phase1 on m under seed 1 and returns its LHS
-// evaluations and raises.
+// phase1Work runs v's Phase1 on m under seed 1 and returns its own LHS
+// evaluations, the satisfaction reads without the slack read of each
+// raise, and its raises.
 func phase1Work(t *testing.T, m *model.Model, v variant) (evals, raises int) {
 	t.Helper()
-	_, stack, err := Phase1(m, countingRule{v.rule, &evals}, v.sched, 1, nil)
+	var reads int
+	_, stack, err := Phase1(m, countingRule{v.rule, &reads}, v.sched, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range stack {
 		raises += len(e.Set)
 	}
-	return evals, raises
+	return reads - raises, raises
 }
 
 // sessionShaped is the problem of one session-churn resolve: 400 unit

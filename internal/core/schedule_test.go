@@ -8,7 +8,6 @@ import (
 	"treesched/internal/gen"
 	"treesched/internal/lp"
 	"treesched/internal/model"
-	"treesched/internal/verify"
 )
 
 func TestUnitXiMatchesPaperConstants(t *testing.T) {
@@ -110,34 +109,5 @@ func TestPhase2CoverageProperty(t *testing.T) {
 		if err := CheckRaisedSetsIndependent(m, stack); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-	}
-}
-
-func TestDistributedPSMatchesCentralized(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 4; trial++ {
-		p := gen.LineProblem(gen.LineConfig{
-			Slots: 20, Resources: 2, Demands: 8, Unit: true, MaxProc: 6,
-		}, rng)
-		seed := uint64(trial)
-		central, err := solve(p, "ps", Options{Epsilon: 0.25, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		distrib, err := solveDist(p, "dist-ps", Options{Epsilon: 0.25, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SameSelection(central, distrib.Result) {
-			t.Fatalf("trial %d: PS distributed selection differs", trial)
-		}
-		if err := verify.Solution(p, distrib.Selected); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Rejections.
-	tp := gen.TreeProblem(gen.TreeConfig{N: 8, Trees: 1, Demands: 3, Unit: true}, rng)
-	if _, err := solveDist(tp, "dist-ps", Options{}); err == nil {
-		t.Fatal("accepted tree problem")
 	}
 }

@@ -76,7 +76,7 @@ func sequentialPass(sm *solverModel, v variant, opts Options, compare func(m *mo
 			continue
 		}
 		step++
-		delta := v.rule.Raise(m, duals, i)
+		delta := lp.Raise(v.rule, m, duals, i)
 		k := epoch(m, i)
 		if trace != nil {
 			trace.Events = append(trace.Events, RaiseEvent{Inst: i, Delta: delta, Epoch: k, Stage: 1, Step: step})

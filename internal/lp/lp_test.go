@@ -41,9 +41,9 @@ func TestRaiseMakesConstraintTight(t *testing.T) {
 				// Raise a few random instances and check tightness.
 				for k := 0; k < 6 && k < len(m.Insts); k++ {
 					i := int32(rng.Intn(len(m.Insts)))
-					before := tc.r.LHS(m, d, i)
-					delta := tc.r.Raise(m, d, i)
-					after := tc.r.LHS(m, d, i)
+					before := LHS(tc.r, m, d, i)
+					delta := Raise(tc.r, m, d, i)
+					after := LHS(tc.r, m, d, i)
 					p := m.Insts[i].Profit
 					if before < p-Tol {
 						if delta <= 0 {
@@ -73,7 +73,7 @@ func TestUnitRaiseDeltaFormula(t *testing.T) {
 	r := Unit{}
 	i := int32(0)
 	s := Slack(r, m, d, i)
-	delta := r.Raise(m, d, i)
+	delta := Raise(r, m, d, i)
 	want := s / float64(m.Pi.RowLen(i)+1)
 	if math.Abs(delta-want) > 1e-12 {
 		t.Fatalf("δ=%g want s/(|π|+1)=%g", delta, want)
@@ -93,7 +93,7 @@ func TestNarrowRaiseBetaIncrement(t *testing.T) {
 	d := NewDuals(m)
 	r := Narrow{}
 	i := int32(0)
-	delta := r.Raise(m, d, i)
+	delta := Raise(r, m, d, i)
 	k := float64(m.Pi.RowLen(i))
 	for _, e := range m.Pi.Row(i) {
 		if math.Abs(d.Beta[e]-2*k*delta) > 1e-12 {
@@ -107,7 +107,7 @@ func TestDualObjectiveMatchesManualSum(t *testing.T) {
 	d := NewDuals(m)
 	r := Unit{}
 	for i := int32(0); int(i) < len(m.Insts); i++ {
-		r.Raise(m, d, i)
+		Raise(r, m, d, i)
 	}
 	manual := 0.0
 	for _, a := range d.Alpha {
@@ -133,11 +133,11 @@ func TestObjectiveIncreaseBoundedPerRaise(t *testing.T) {
 		bound := tc.r.ObjectivePerRaise(m)
 		for i := int32(0); int(i) < len(m.Insts); i++ {
 			before := DualObjective(tc.r, m, d)
-			delta := tc.r.Raise(m, d, i)
+			delta := Raise(tc.r, m, d, i)
 			after := DualObjective(tc.r, m, d)
 			if after-before > bound*delta+1e-9 {
-				t.Fatalf("%s: objective jumped %g > %g·δ (δ=%g)",
-					tc.r.Name(), after-before, bound, delta)
+				t.Fatalf("%T: objective jumped %g > %g·δ (δ=%g)",
+					tc.r, after-before, bound, delta)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func TestVerifyLambdaSatisfied(t *testing.T) {
 		t.Fatal("zero duals cannot be 1-satisfied")
 	}
 	for i := int32(0); int(i) < len(m.Insts); i++ {
-		r.Raise(m, d, i)
+		Raise(r, m, d, i)
 	}
 	// After raising every instance once in order, every constraint was
 	// tight at its own raise and only grew after, so λ=1 holds.
@@ -171,7 +171,7 @@ func TestSatisfiedThreshold(t *testing.T) {
 	if !Satisfied(r, m, d, i, 0) {
 		t.Fatal("everything is 0-satisfied")
 	}
-	r.Raise(m, d, i)
+	Raise(r, m, d, i)
 	if !Satisfied(r, m, d, i, 1.0) {
 		t.Fatal("raised instance must be 1-satisfied")
 	}
@@ -181,7 +181,7 @@ func TestCloneIsDeep(t *testing.T) {
 	m := treeModel(t, 9, true)
 	d := NewDuals(m)
 	r := Unit{}
-	r.Raise(m, d, 0)
+	Raise(r, m, d, 0)
 	c := d.Clone()
 	c.Alpha[0] += 100
 	c.Beta[0] += 100
@@ -197,8 +197,8 @@ func TestCapacitatedReducesToNarrowOnUnitCaps(t *testing.T) {
 	d2 := NewDuals(m)
 	n, c := Narrow{}, Capacitated{}
 	for i := int32(0); int(i) < len(m.Insts); i++ {
-		dn := n.Raise(m, d1, i)
-		dc := c.Raise(m, d2, i)
+		dn := Raise(n, m, d1, i)
+		dc := Raise(c, m, d2, i)
 		if math.Abs(dn-dc) > 1e-12 {
 			t.Fatalf("δ differs on unit caps: %g vs %g", dn, dc)
 		}
@@ -206,6 +206,42 @@ func TestCapacitatedReducesToNarrowOnUnitCaps(t *testing.T) {
 	for e := range d1.Beta {
 		if math.Abs(d1.Beta[e]-d2.Beta[e]) > 1e-9 {
 			t.Fatalf("β[%d] differs: %g vs %g", e, d1.Beta[e], d2.Beta[e])
+		}
+	}
+}
+
+// TestLHSReadsBetaThroughAt holds every rule's LHS to the storage
+// contract the distributed protocol relies on: β copies kept in any slot
+// order, read through at, give the bits the global duals give.
+func TestLHSReadsBetaThroughAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	capped, err := model.Build(gen.TreeProblem(gen.TreeConfig{
+		N: 20, Trees: 2, Demands: 12, HMin: 0.05, HMax: 0.5, Capacity: 1.5, CapJitter: 0.4,
+	}, rng), model.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		r Rule
+		m *model.Model
+	}{{Unit{}, treeModel(t, 11, true)}, {UnitNoAlpha{}, treeModel(t, 12, true)}, {Narrow{}, capped}, {Capacitated{}, capped}} {
+		m, d := tc.m, NewDuals(tc.m)
+		for i := int32(0); int(i) < len(m.Insts); i += 2 {
+			Raise(tc.r, m, d, i)
+		}
+		for i := int32(0); int(i) < len(m.Insts); i++ {
+			path := m.Paths.Row(i)
+			local := make([]float64, 2*len(path)+1)
+			at := make([]int32, len(path))
+			for k, slot := range rng.Perm(len(local))[:len(path)] {
+				at[k] = int32(slot)
+				local[slot] = d.Beta[path[k]]
+			}
+			want := LHS(tc.r, m, d, i)
+			got := tc.r.LHS(m, i, d.Alpha[m.Insts[i].Demand], local, at)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%T: instance %d: LHS over copies %v, over the global duals %v", tc.r, i, got, want)
+			}
 		}
 	}
 }
