@@ -7,7 +7,7 @@ import (
 
 	"treesched/internal/core"
 	"treesched/internal/gen"
-	"treesched/internal/layered"
+	"treesched/internal/model"
 	"treesched/internal/treedecomp"
 )
 
@@ -34,14 +34,13 @@ func E7Decomp(cfg Config) *Table {
 				// ∆ from the Lemma 4.2 construction over sample demands.
 				p := gen.TreeProblem(gen.TreeConfig{N: n, Trees: 1, Demands: 40, Unit: true, AccessProb: 1}, rng)
 				p.Trees[0] = tr
-				insts := p.Expand()
-				asg, err := layered.ForTrees(p, insts, []*treedecomp.Decomposition{treedecomp.Build(tr, kind)})
+				m, err := model.Build(p, model.Options{Decomps: []*treedecomp.Decomposition{d}})
 				if err != nil {
 					panic(err)
 				}
 				t.Add(kind.String(), shape.String(), n,
 					d.MaxDepth(), 2*int(math.Ceil(math.Log2(float64(n)))),
-					d.PivotSize(), asg.Delta)
+					d.PivotSize(), m.Delta)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -72,6 +73,9 @@ var allocSink []*[64]byte
 // TestKernelAllocsPerCall checks that an arm allocating exactly n heap
 // objects per call reads n allocations per call, in fixed-count and
 // calibrated rounds alike (the calibration call is outside the count).
+// A background runtime allocation can land inside the measured calls,
+// and noise only ever adds allocations, so the least of three
+// measurements is the one held to exactly n.
 func TestKernelAllocsPerCall(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -85,16 +89,20 @@ func TestKernelAllocsPerCall(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocSink = make([]*[64]byte, tc.n)
-			res, err := measureArms(tc.p, arm{"alloc", func(int) error {
-				for j := range allocSink {
-					allocSink[j] = new([64]byte)
+			got := math.Inf(1)
+			for range 3 {
+				res, err := measureArms(tc.p, arm{"alloc", func(int) error {
+					for j := range allocSink {
+						allocSink[j] = new([64]byte)
+					}
+					return nil
+				}})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			}})
-			if err != nil {
-				t.Fatal(err)
+				got = min(got, res[0].allocs)
 			}
-			if got := res[0].allocs; got != float64(tc.n) {
+			if got != float64(tc.n) {
 				t.Errorf("allocs per call = %v, want %d", got, tc.n)
 			}
 		})

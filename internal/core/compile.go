@@ -138,13 +138,12 @@ type Compiled struct {
 	splitErr     error
 
 	// Delta-recompilation state (WithJobs). decompsHint/seqDecompsHint
-	// carry prebuilt tree decompositions across generations so even the
-	// churn-threshold fallback never rebuilds them; churn overrides the
-	// fallback threshold (0 = DefaultChurnThreshold); incremental records
-	// whether this Compiled was produced by the delta path.
+	// carry prebuilt tree decompositions across generations so a
+	// generation whose parent built no full model never rebuilds them;
+	// incremental records whether this Compiled was produced by the delta
+	// path.
 	decompsHint    []*treedecomp.Decomposition
 	seqDecompsHint []*treedecomp.Decomposition
-	churn          float64
 	incremental    bool
 
 	// adoptWide/adoptNarrow hold solver scratches migrated from the
@@ -314,21 +313,10 @@ func (c *Compiled) sequentialLineModel() (*solverModel, error) {
 	})
 }
 
-// DefaultChurnThreshold is the fraction of the demand set that may
-// change in one WithJobs delta before the incremental rebuild is
-// abandoned for a full recompile: past it the copy bookkeeping
-// approaches the cost of computing every row afresh, and a full Build
-// (still reusing the tree decompositions) is simpler and no slower.
-const DefaultChurnThreshold = 0.5
-
-// SetChurnThreshold overrides the WithJobs fallback threshold for this
-// compilation and every generation derived from it (0 restores the
-// default). Not safe to call concurrently with WithJobs.
-func (c *Compiled) SetChurnThreshold(t float64) { c.churn = t }
-
 // Incremental reports whether this Compiled was produced by the WithJobs
-// delta path (false for fresh compiles and churn-threshold fallbacks) —
-// the observability hook for session metrics and the online benchmark.
+// delta path (false for fresh compiles and for generations whose parent
+// had no full model) — the observability hook for session metrics and
+// the online benchmark.
 func (c *Compiled) Incremental() bool { return c.incremental }
 
 // seqHint returns the best available root-fixing decompositions to carry
@@ -347,16 +335,17 @@ func (c *Compiled) seqHint() []*treedecomp.Decomposition {
 // The networks — trees or timeline, and their capacities — are fixed for
 // the lifetime of a session; only the demand set changes.
 //
-// When the full model of c has been built and the delta is below the
-// churn threshold, the new model is rebuilt incrementally
-// (model.WithDelta): rows of surviving demands are copied, only added
-// demands pay tree walks and path materialization, the rebuilt indexes
-// are the conflict clique cover the Luby MIS reads, and a pooled solver
-// scratch migrates from c so the re-solve allocates like a warm solve.
-// Past the threshold — or when c was never solved — it falls back to a
-// full recompile that still reuses the tree decompositions. Either way
-// the result is indistinguishable from Compile on the effective problem:
-// the equivalence suite asserts byte-identical solver output.
+// When the full model of c has been built, the new model is rebuilt
+// incrementally (model.WithDelta): rows of surviving demands are copied,
+// only added demands pay tree walks and path materialization, the
+// rebuilt indexes are the conflict clique cover the Luby MIS reads, and
+// a pooled solver scratch migrates from c so the re-solve allocates like
+// a warm solve. The delta runs the row assembly model.Build runs, so it
+// never does more row work than a rebuild, at any churn. When c has no
+// full model (it was never solved) the result is a fresh Compile that
+// still reuses the tree decompositions. Either way the result is
+// indistinguishable from Compile on the effective problem: the
+// equivalence suite asserts byte-identical solver output.
 func (c *Compiled) WithJobs(added []instance.Demand, removed []int) (*Compiled, error) {
 	old := len(c.p.Demands)
 	rm := make([]bool, old)
@@ -395,32 +384,17 @@ func (c *Compiled) WithJobs(added []instance.Demand, removed []int) (*Compiled, 
 		Demands:      demands,
 	}
 
-	threshold := c.churn
-	if threshold == 0 {
-		threshold = DefaultChurnThreshold
-	}
-	base := old
-	if base < 1 {
-		base = 1
-	}
 	parent := c.full.peek()
-
-	if parent == nil || float64(len(added)+len(removed)) > threshold*float64(base) {
-		// Full recompile: either there is no model to delta from, or the
-		// churn makes copying pointless. Tree decompositions still carry
-		// over (they depend only on the fixed networks).
+	if parent == nil {
+		// No model to delta from: compile afresh. Tree decompositions
+		// still carry over (they depend only on the fixed networks).
 		nc, err := Compile(np, c.decomp)
 		if err != nil {
 			return nil, err
 		}
-		nc.churn = c.churn
 		nc.workers = c.workers
+		nc.decompsHint = c.decompsHint
 		nc.seqDecompsHint = c.seqHint()
-		if parent != nil {
-			nc.decompsHint = parent.m.Decomps
-		} else {
-			nc.decompsHint = c.decompsHint
-		}
 		return nc, nil
 	}
 
@@ -431,7 +405,6 @@ func (c *Compiled) WithJobs(added []instance.Demand, removed []int) (*Compiled, 
 	nc := &Compiled{
 		p:              np,
 		decomp:         c.decomp,
-		churn:          c.churn,
 		incremental:    true,
 		decompsHint:    nm.Decomps,
 		seqDecompsHint: c.seqHint(),

@@ -10,8 +10,8 @@ import (
 )
 
 // The WithJobs equivalence guard (the online-session correctness
-// property): after ANY sequence of add/remove deltas — small ones served
-// by the incremental rebuild, large ones by the churn fallback — solving
+// property): after ANY sequence of add/remove deltas — small ones and
+// ones that replace most of the demand set alike — solving
 // the delta-compiled problem must be byte-identical to a from-scratch
 // Compile + solve of the same effective instance, for every algorithm
 // applicable to the problem class.
@@ -81,7 +81,7 @@ var wjConfigs = []wjConfig{
 // seeds: each round applies a random delta through WithJobs and asserts
 // the solve output is byte-identical to a cold Compile + solve of the
 // effective problem, for every applicable algorithm. One round per seed
-// forces churn past the threshold so the fallback path is exercised too.
+// removes three quarters of the set, which the delta path must serve too.
 func TestWithJobsEquivalence(t *testing.T) {
 	for _, cfg := range wjConfigs {
 		for _, seed := range []int64{1, 2, 3} {
@@ -109,7 +109,7 @@ func TestWithJobsEquivalence(t *testing.T) {
 					var removed []int
 					var added []instance.Demand
 					if round == 3 {
-						// Past-threshold round: remove most of the set.
+						// Heavy-churn round: remove most of the set.
 						for i := 0; i < m*3/4; i++ {
 							removed = append(removed, i)
 						}
@@ -128,8 +128,8 @@ func TestWithJobsEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("round %d: WithJobs: %v", round, err)
 					}
-					if round == 3 && nc.Incremental() {
-						t.Fatalf("round %d: churn %d/%d should have fallen back", round, len(removed)+len(added), m)
+					if round == 3 && !nc.Incremental() {
+						t.Fatalf("round %d: churn %d/%d did not take the delta path", round, len(removed)+len(added), m)
 					}
 
 					ref, err := Compile(nc.Problem(), 0)

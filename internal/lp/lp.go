@@ -74,10 +74,6 @@ type Rule interface {
 	// BetaInc returns the increment a raise of δ on instance i adds to
 	// the β of its critical edge e.
 	BetaInc(m *model.Model, i, e int32, delta float64) float64
-	// ObjectivePerRaise bounds the dual-objective increase of one raise in
-	// units of δ (e.g. ∆+1 for Unit, 2∆²+1 for Narrow); used by the
-	// certified-ratio experiments.
-	ObjectivePerRaise(m *model.Model) float64
 }
 
 // LHS evaluates the left-hand side of instance i's dual constraint under
@@ -175,9 +171,6 @@ func (Unit) Delta(m *model.Model, i int32, s float64) (delta, alphaInc float64) 
 // BetaInc implements Rule: β(e∈π) += δ.
 func (Unit) BetaInc(_ *model.Model, _, _ int32, delta float64) float64 { return delta }
 
-// ObjectivePerRaise implements Rule: each raise moves ≤ ∆+1 variables by δ.
-func (Unit) ObjectivePerRaise(m *model.Model) float64 { return float64(m.Delta + 1) }
-
 // UnitNoAlpha is the Appendix-A single-tree-network refinement of Unit:
 // with one tree, every demand has exactly one instance, so the α variables
 // are never shared and can be dropped — δ = s/|π| and only β is raised,
@@ -197,9 +190,6 @@ func (UnitNoAlpha) Delta(m *model.Model, i int32, s float64) (delta, alphaInc fl
 // BetaInc implements Rule: β(e∈π) += δ.
 func (UnitNoAlpha) BetaInc(_ *model.Model, _, _ int32, delta float64) float64 { return delta }
 
-// ObjectivePerRaise implements Rule: ≤ ∆ variables move by δ.
-func (UnitNoAlpha) ObjectivePerRaise(m *model.Model) float64 { return float64(m.Delta) }
-
 // Narrow is the §6.1 rule for narrow (h ≤ 1/2) instances.
 type Narrow struct{}
 
@@ -217,11 +207,6 @@ func (Narrow) Delta(m *model.Model, i int32, s float64) (delta, alphaInc float64
 // BetaInc implements Rule: β(e∈π) += 2|π|δ.
 func (Narrow) BetaInc(m *model.Model, i, _ int32, delta float64) float64 {
 	return 2 * float64(m.Pi.RowLen(i)) * delta
-}
-
-// ObjectivePerRaise implements Rule: α moves by δ and ∆ edges by 2∆δ.
-func (Narrow) ObjectivePerRaise(m *model.Model) float64 {
-	return float64(2*m.Delta*m.Delta + 1)
 }
 
 // narrowDelta is the δ of Narrow and Capacitated: s/(1+2h|π|²).
@@ -257,11 +242,4 @@ func (Capacitated) Delta(m *model.Model, i int32, s float64) (delta, alphaInc fl
 // tightens because each π edge contributes h·2|π|δ to the LHS.
 func (Capacitated) BetaInc(m *model.Model, i, e int32, delta float64) float64 {
 	return 2 * float64(m.Pi.RowLen(i)) * m.Cap[e] * delta
-}
-
-// ObjectivePerRaise implements Rule: α moves δ, each of ≤∆ edges moves
-// 2∆·cap(e)·δ in pre-multiplied form. The capacity maximum is
-// precomputed at model build, keeping this O(1) per call.
-func (Capacitated) ObjectivePerRaise(m *model.Model) float64 {
-	return 2*float64(m.Delta*m.Delta)*m.MaxCap + 1
 }

@@ -122,15 +122,39 @@ func TestDualObjectiveMatchesManualSum(t *testing.T) {
 }
 
 func TestObjectiveIncreaseBoundedPerRaise(t *testing.T) {
-	// Each raise increases the dual objective by at most
-	// ObjectivePerRaise·δ — the inequality behind Lemma 3.1 / 6.1.
+	// Each raise increases the dual objective by at most perRaise·δ — the
+	// inequality behind Lemma 3.1 / 6.1: a unit raise moves α and ≤ ∆
+	// β's by δ; a narrow raise moves α by δ and ≤ ∆ β's by 2∆δ; a
+	// capacitated one moves each of those β's by 2∆·cap(e)·δ in its
+	// pre-multiplied form, cap(e) at most the largest capacity of an edge
+	// some path crosses.
+	capacitated := func(t *testing.T) *model.Model {
+		rng := rand.New(rand.NewSource(6))
+		p := gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: 12, HMin: 0.05, HMax: 0.5, Capacity: 1.5, CapJitter: 0.4}, rng)
+		m, err := model.Build(p, model.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	for _, tc := range []struct {
-		r    Rule
-		unit bool
-	}{{Unit{}, true}, {Narrow{}, false}, {Capacitated{}, false}} {
-		m := treeModel(t, 6, tc.unit)
+		r        Rule
+		m        *model.Model
+		perRaise func(m *model.Model) float64
+	}{
+		{Unit{}, treeModel(t, 6, true), func(m *model.Model) float64 { return float64(m.Delta + 1) }},
+		{Narrow{}, treeModel(t, 6, false), func(m *model.Model) float64 { return float64(2*m.Delta*m.Delta + 1) }},
+		{Capacitated{}, capacitated(t), func(m *model.Model) float64 {
+			maxCap := 0.0
+			for _, e := range m.Paths.Data {
+				maxCap = max(maxCap, m.Cap[e])
+			}
+			return 2*float64(m.Delta*m.Delta)*maxCap + 1
+		}},
+	} {
+		m := tc.m
 		d := NewDuals(m)
-		bound := tc.r.ObjectivePerRaise(m)
+		bound := tc.perRaise(m)
 		for i := int32(0); int(i) < len(m.Insts); i++ {
 			before := DualObjective(tc.r, m, d)
 			delta := Raise(tc.r, m, d, i)

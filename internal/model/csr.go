@@ -31,41 +31,23 @@ func (c *CSR) RowLen(i int32) int {
 	return int(c.Off[i+1] - c.Off[i])
 }
 
-// NewCSR flattens rows into a CSR (two allocations, rows copied in
-// order).
-func NewCSR(rows [][]int32) CSR {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	c := CSR{
-		Off:  make([]int32, len(rows)+1),
-		Data: make([]int32, 0, total),
-	}
-	for i, r := range rows {
-		c.Data = append(c.Data, r...)
-		c.Off[i+1] = int32(len(c.Data))
-	}
-	return c
-}
-
-// BucketCSR distributes items 0..n-1 into numRows buckets by rowOf; each
-// row lists its items in ascending order. Two passes, two allocations.
-func BucketCSR(numRows, n int, rowOf func(i int32) int32) CSR {
+// BucketCSR distributes items 0..len(keys)-1 into numRows buckets,
+// item i into row keys[i]-base; each row lists its items in ascending
+// order. Two passes, three allocations.
+func BucketCSR(numRows int, keys []int32, base int32) CSR {
 	counts := make([]int32, numRows+1)
-	for i := int32(0); int(i) < n; i++ {
-		counts[rowOf(i)+1]++
+	for _, k := range keys {
+		counts[k-base+1]++
 	}
 	for r := 0; r < numRows; r++ {
 		counts[r+1] += counts[r]
 	}
-	c := CSR{Off: counts, Data: make([]int32, n)}
+	c := CSR{Off: counts, Data: make([]int32, len(keys))}
 	next := make([]int32, numRows)
 	copy(next, c.Off[:numRows])
-	for i := int32(0); int(i) < n; i++ {
-		r := rowOf(i)
-		c.Data[next[r]] = i
-		next[r]++
+	for i, k := range keys {
+		c.Data[next[k-base]] = int32(i)
+		next[k-base]++
 	}
 	return c
 }

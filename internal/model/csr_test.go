@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// NewCSR flattens rows into a CSR (two allocations, rows copied in
+// order).
+func NewCSR(rows [][]int32) CSR {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	c := CSR{
+		Off:  make([]int32, len(rows)+1),
+		Data: make([]int32, 0, total),
+	}
+	for i, r := range rows {
+		c.Data = append(c.Data, r...)
+		c.Off[i+1] = int32(len(c.Data))
+	}
+	return c
+}
+
 func TestNewCSRRoundTrip(t *testing.T) {
 	rows := [][]int32{{3, 1}, {}, {2}, {5, 5, 0}}
 	c := NewCSR(rows)
@@ -28,7 +46,7 @@ func TestNewCSRRoundTrip(t *testing.T) {
 
 func TestBucketCSRPreservesOrder(t *testing.T) {
 	// Items 0..5 into buckets by parity: evens to 0, odds to 1.
-	c := BucketCSR(2, 6, func(i int32) int32 { return i % 2 })
+	c := BucketCSR(2, []int32{0, 1, 0, 1, 0, 1}, 0)
 	if got := c.Row(0); !reflect.DeepEqual(got, []int32{0, 2, 4}) {
 		t.Fatalf("bucket 0 = %v", got)
 	}

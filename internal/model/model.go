@@ -34,10 +34,8 @@ type Model struct {
 	Delta int
 
 	// Cap[e] is the capacity of global edge e (all 1 in the paper's core
-	// setting); MaxCap is its maximum, precomputed for the Capacitated
-	// rule's per-raise objective bound.
-	Cap    []float64
-	MaxCap float64
+	// setting).
+	Cap []float64
 
 	// InstsOf row a lists the instance indices of demand a (possibly
 	// empty for filtered models).
@@ -105,9 +103,11 @@ type BuildStats struct {
 	// DecompNs is the tree-decomposition phase (0 for lines or when
 	// prebuilt decompositions were supplied via Options.Decomps).
 	DecompNs int64 `json:"decomp_ns"`
-	// LayerNs is the layered row construction (groups + critical sets).
+	// LayerNs is the layered row construction (groups + critical sets),
+	// which also sizes every row.
 	LayerNs int64 `json:"layer_ns"`
-	// PathNs is the path materialization into the Paths CSR.
+	// PathNs is the path materialization into the Paths CSR, with the
+	// critical sets written into theirs.
 	PathNs int64 `json:"path_ns"`
 	// IndexNs covers capacities, the consistency check and the derived
 	// indexes (InstsOf/GroupInsts/EdgeInsts).
@@ -129,6 +129,9 @@ func (s *BuildStats) phase(dst *int64, last *time.Time) {
 func Build(p *instance.Problem, opts Options) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.CaptureWingsPi && p.Kind != instance.KindTree {
+		return nil, fmt.Errorf("model: CaptureWingsPi is tree-only")
 	}
 	insts := p.Expand()
 	if opts.Filter != nil {
@@ -162,87 +165,173 @@ func Build(p *instance.Problem, opts Options) (*Model, error) {
 	last := time.Now() //schedlint:statsonly phase-mark anchor for BuildStats; model bytes are clock-independent
 	begin := last
 
-	var asg *layered.Assignment
-	var err error
 	if p.Kind == instance.KindTree {
-		if opts.Decomps != nil {
-			m.Decomps = opts.Decomps
-		} else {
+		m.Decomps = opts.Decomps
+		if m.Decomps == nil {
 			m.Decomps = treedecomp.BuildAll(p.Trees, opts.DecompKind, workers)
 		}
-		stats.phase(&stats.DecompNs, &last)
-		if opts.CaptureWingsPi {
-			asg, err = layered.ForTreesCaptureWingsSharded(p, insts, m.Decomps, workers)
-		} else {
-			asg, err = layered.ForTreesSharded(p, insts, m.Decomps, workers)
+		if len(m.Decomps) != len(p.Trees) {
+			return nil, fmt.Errorf("model: %d decompositions for %d trees", len(m.Decomps), len(p.Trees))
 		}
-	} else {
-		if opts.CaptureWingsPi {
-			return nil, fmt.Errorf("model: CaptureWingsPi is tree-only")
-		}
-		asg, err = layered.ForLinesSharded(p, insts, workers)
 	}
-	if err != nil {
+	stats.phase(&stats.DecompNs, &last)
+
+	if err := m.assemble(nil, nil, workers, stats, &last); err != nil {
 		return nil, err
 	}
-	m.Pi = NewCSR(asg.Pi)
-	m.Group = asg.Group
-	stats.phase(&stats.LayerNs, &last)
-
-	m.Paths = buildPaths(p, insts, workers)
-	stats.phase(&stats.PathNs, &last)
-
-	m.Cap = make([]float64, m.EdgeSpace)
-	for e := range m.Cap {
-		m.Cap[e] = p.Capacity(int32(e))
-		if m.Cap[e] > m.MaxCap {
-			m.MaxCap = m.Cap[e]
-		}
-	}
-
-	if err := m.finalize(workers); err != nil {
-		return nil, err
-	}
-	stats.phase(&stats.IndexNs, &last)
 	stats.TotalNs += time.Since(begin).Nanoseconds() //schedlint:statsonly BuildStats.TotalNs is observational only
 	return m, nil
 }
 
-// pathShard is the instances-per-shard granule of the parallel path fill
-// (cheap per-instance work: one LCA walk or a slot loop).
-const pathShard = 1024
+// rowShard is the instances-per-shard granule of the parallel row
+// assembly: a computed row costs a few tree walks (microseconds), so
+// shards amortize the goroutine handoff while still balancing trees of
+// uneven depth across workers.
+const rowShard = 512
 
-// buildPaths materializes every instance path into one exactly-sized CSR:
-// a counted first pass over PathLen fixes each row's offset (replacing
-// the grow-by-append build, measurable by itself at the 10^5-instance
-// presets), then the rows are filled in place — sharded across workers,
-// each shard writing only its own rows, so the slab is byte-identical at
-// any fan-out.
-func buildPaths(p *instance.Problem, insts []instance.Inst, workers int) CSR {
-	off := make([]int32, len(insts)+1)
-	par.Shards(workers, len(insts), pathShard, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			off[i+1] = int32(p.PathLen(insts[i]))
-		}
-	})
-	for i := 0; i < len(insts); i++ {
-		off[i+1] += off[i]
-	}
-	data := make([]int32, off[len(insts)])
-	par.Shards(workers, len(insts), pathShard, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p.FillPathEdges(data[off[i]:off[i+1]], insts[i])
-		}
-	})
-	return CSR{Off: off, Data: data}
+// rows is the row table of a model under assembly — Group, Pi and
+// Paths, one row per instance of to. Row i is copied from row src[i] of
+// from when src[i] >= 0, and is otherwise the computed row numbered
+// ^src[i]; a nil src computes every row, row i as number i. Computed
+// rows are pure functions of the instance and the fixed networks: the
+// path through PathLen/FillPathEdges, π and the tree group through
+// layered.TreeRow or layered.LinePi. Line groups are recomputed for
+// every row from lmin, the Lmin of to's own instances, since §7's
+// length doubling anchors on it.
+//
+// Each pass writes only the rows lo..hi-1 it is handed, so sharded
+// passes stitch identically at any fan-out.
+type rows struct {
+	to, from *Model
+	src      []int32
+	pis      [][]int32 // π of the computed rows, by number
+	lmin     int32
 }
 
-// finalize computes everything derivable from a model whose Insts, Paths,
-// Pi, Group and Cap are in place: the Delta and NumGroups scalars, the
-// profit/height ranges, the internal consistency check, and the
-// InstsOf/GroupInsts/EdgeInsts indexes. Build and the incremental
-// rebuilds (WithDelta, FilterCopy) share it, so a delta-built model's
-// derived state is computed by the exact code a fresh Build runs.
+// source returns row i's source: a row of from, or ^k for computed row k.
+func (r rows) source(i int) int32 {
+	if r.src == nil {
+		return ^int32(i)
+	}
+	return r.src[i]
+}
+
+// run applies pass to every row: inline when workers <= 1 or the rows
+// fit one shard — so a serial Build, WithDelta and FilterCopy allocate no
+// closure — and in rowShard-sized shards across workers otherwise.
+func (r rows) run(workers int, pass func(r rows, lo, hi int)) {
+	n := len(r.to.Insts)
+	if workers <= 1 || n <= rowShard {
+		pass(r, 0, n)
+		return
+	}
+	par.Shards(workers, n, rowShard, func(lo, hi int) { pass(r, lo, hi) })
+}
+
+// lens sets each row's group and the lengths of its π and path,
+// computing the π of the computed rows.
+func (r rows) lens(lo, hi int) {
+	m := r.to
+	for i := lo; i < hi; i++ {
+		d := m.Insts[i]
+		var pi []int32
+		if s := r.source(i); s >= 0 {
+			m.Group[i], pi = r.from.Group[s], r.from.Pi.Row(s)
+			m.Paths.Off[i+1] = int32(r.from.Paths.RowLen(s))
+		} else {
+			if m.P.Kind == instance.KindTree {
+				m.Group[i], pi = layered.TreeRow(m.P, d, m.Decomps[d.Net], m.captureWings)
+			} else {
+				pi = layered.LinePi(m.P, d)
+			}
+			r.pis[^s] = pi
+			m.Paths.Off[i+1] = int32(m.P.PathLen(d))
+		}
+		if m.P.Kind == instance.KindLine {
+			m.Group[i] = layered.LineGroup(d.Len(), r.lmin)
+		}
+		m.Pi.Off[i+1] = int32(len(pi))
+	}
+}
+
+// fill writes each row's π and path into their windows of Pi.Data and
+// Paths.Data.
+func (r rows) fill(lo, hi int) {
+	m := r.to
+	for i := lo; i < hi; i++ {
+		pi := m.Pi.Data[m.Pi.Off[i]:m.Pi.Off[i+1]]
+		path := m.Paths.Data[m.Paths.Off[i]:m.Paths.Off[i+1]]
+		if s := r.source(i); s >= 0 {
+			copy(pi, r.from.Pi.Row(s))
+			copy(path, r.from.Paths.Row(s))
+		} else {
+			copy(pi, r.pis[^s])
+			m.P.FillPathEdges(path, m.Insts[i])
+		}
+	}
+}
+
+// prefix turns row lengths in off[1:] into CSR offsets and returns the
+// total.
+func prefix(off []int32) int32 {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	return off[len(off)-1]
+}
+
+// assemble is the one row assembly of every compiled model. Given m's
+// Insts, it fills m's row table — each row copied from row src[i] of
+// from or computed, as rows describes — into exactly-sized CSRs: a
+// counted pass fixes each row's offset and a fill pass writes the rows
+// in place. It then finalizes m, whose consistency check skips the
+// copied rows. Build computes every row (nil src) sharded across
+// workers; WithDelta splices copied and computed rows, and FilterCopy
+// copies every row, both serially. stats and last, as in Build, take
+// the layer, path and index phases; WithDelta and FilterCopy pass nil.
+func (m *Model) assemble(from *Model, src []int32, workers int, stats *BuildStats, last *time.Time) error {
+	if stats == nil {
+		stats, last = &BuildStats{}, new(time.Time) // throwaway, as in Build
+	}
+	n := len(m.Insts)
+	r := rows{to: m, from: from, src: src}
+	computed := n
+	if src != nil {
+		computed = 0
+		for _, s := range src {
+			if s < 0 {
+				computed++
+			}
+		}
+	}
+	if computed > 0 {
+		r.pis = make([][]int32, computed)
+	}
+	if m.P.Kind == instance.KindLine {
+		r.lmin = layered.LineLmin(m.Insts)
+	}
+
+	m.Group = make([]int32, n)
+	m.Pi.Off = make([]int32, n+1)
+	m.Paths.Off = make([]int32, n+1)
+	r.run(workers, rows.lens)
+	stats.phase(&stats.LayerNs, last)
+
+	m.Pi.Data = make([]int32, prefix(m.Pi.Off))
+	m.Paths.Data = make([]int32, prefix(m.Paths.Off))
+	r.run(workers, rows.fill)
+	stats.phase(&stats.PathNs, last)
+
+	err := m.finalize(workers, src)
+	stats.phase(&stats.IndexNs, last)
+	return err
+}
+
+// finalize computes everything derivable from a model whose Insts,
+// Paths, Pi and Group are in place: Cap when the model does not share
+// its networks' capacities, the Delta and NumGroups scalars, the
+// profit/height ranges, the consistency check (skipping the rows src
+// marks copied), and the InstsOf/GroupInsts/EdgeInsts indexes.
 //
 // With workers > 1 the independent pieces run concurrently — first
 // {InstsOf, check} (neither reads the other), then, only on a validated
@@ -250,55 +339,14 @@ func buildPaths(p *instance.Problem, insts []instance.Inst, workers int) CSR {
 // derived state is identical to the serial order. The serial path runs
 // the four steps inline rather than through par.Go: closures handed to
 // par.Go escape (its goroutine branch captures them), which would cost
-// every serial Build and FilterCopy five heap allocations.
-func (m *Model) finalize(workers int) error {
-	m.deriveScalars()
-	if workers <= 1 {
-		m.InstsOf = BucketCSR(m.NumDemands, len(m.Insts), func(i int32) int32 {
-			return m.Insts[i].Demand
-		})
-		if err := m.check(); err != nil {
-			return err
+// every serial Build, WithDelta and FilterCopy five heap allocations.
+func (m *Model) finalize(workers int, src []int32) error {
+	if m.Cap == nil {
+		m.Cap = make([]float64, m.EdgeSpace)
+		for e := range m.Cap {
+			m.Cap[e] = m.P.Capacity(int32(e))
 		}
-		m.GroupInsts = BucketCSR(m.NumGroups, len(m.Insts), func(i int32) int32 {
-			return m.Group[i] - 1
-		})
-		m.EdgeInsts = InvertCSR(&m.Paths, m.EdgeSpace)
-		return nil
 	}
-	var checkErr error
-	par.Go(workers,
-		func() {
-			//schedlint:owned this thunk is the sole writer of m.InstsOf; m is local to finalize's caller chain
-			m.InstsOf = BucketCSR(m.NumDemands, len(m.Insts), func(i int32) int32 {
-				return m.Insts[i].Demand
-			})
-		},
-		//schedlint:owned sole writer of checkErr; read only after par.Go returns
-		func() { checkErr = m.check() },
-	)
-	if checkErr != nil {
-		return checkErr
-	}
-	// The derived indexes are built after check so their bucket functions
-	// only see validated groups and edge ids.
-	par.Go(workers,
-		func() {
-			//schedlint:owned sole writer of m.GroupInsts; sibling thunk writes only m.EdgeInsts
-			m.GroupInsts = BucketCSR(m.NumGroups, len(m.Insts), func(i int32) int32 {
-				return m.Group[i] - 1
-			})
-		},
-		//schedlint:owned sole writer of m.EdgeInsts; sibling thunk writes only m.GroupInsts
-		func() { m.EdgeInsts = InvertCSR(&m.Paths, m.EdgeSpace) },
-	)
-	return nil
-}
-
-// deriveScalars computes the scalars derivable from Insts/Pi/Group:
-// Delta, NumGroups and the profit/height ranges. Shared by finalize and
-// the incremental rebuild so a scalar added here reaches both paths.
-func (m *Model) deriveScalars() {
 	m.Delta, m.NumGroups = 0, 0
 	m.PMin, m.PMax, m.HMin = 0, 0, 0
 	for i, d := range m.Insts {
@@ -318,30 +366,78 @@ func (m *Model) deriveScalars() {
 			m.HMin = d.Height
 		}
 	}
+	if workers <= 1 {
+		m.InstsOf = m.demandRuns()
+		if err := m.checkRows(src); err != nil {
+			return err
+		}
+		m.GroupInsts = BucketCSR(m.NumGroups, m.Group, 1)
+		m.EdgeInsts = InvertCSR(&m.Paths, m.EdgeSpace)
+		return nil
+	}
+	var checkErr error
+	par.Go(workers,
+		func() {
+			//schedlint:owned this thunk is the sole writer of m.InstsOf; m is local to finalize's caller chain
+			m.InstsOf = m.demandRuns()
+		},
+		//schedlint:owned sole writer of checkErr; read only after par.Go returns
+		func() { checkErr = m.checkRows(src) },
+	)
+	if checkErr != nil {
+		return checkErr
+	}
+	// The derived indexes are built after check so their bucket functions
+	// only see validated groups and edge ids.
+	par.Go(workers,
+		func() {
+			//schedlint:owned sole writer of m.GroupInsts; sibling thunk writes only m.EdgeInsts
+			m.GroupInsts = BucketCSR(m.NumGroups, m.Group, 1)
+		},
+		//schedlint:owned sole writer of m.EdgeInsts; sibling thunk writes only m.GroupInsts
+		func() { m.EdgeInsts = InvertCSR(&m.Paths, m.EdgeSpace) },
+	)
+	return nil
 }
 
-// check validates internal consistency (π ⊆ path, groups in range) of
-// every row.
-func (m *Model) check() error { return m.checkRows(nil) }
-
-// checkRows is check with the path and π tests run only on the rows
-// srcOld marks fresh (negative; every row when srcOld is nil): WithDelta
-// copies the other rows from a model that passed check over the same
-// fixed edge space, so they cannot fail it. Groups are range-checked on
-// every instance. The path-membership test uses one reusable seen-stamp
-// slice — stamping edge e with instance i marks "e on path(i)" without a
-// per-instance map.
-func (m *Model) checkRows(srcOld []int32) error {
-	seen := make([]int32, m.EdgeSpace)
-	for e := range seen {
-		seen[e] = -1
+// demandRuns builds InstsOf. Instances come in demand order — Expand's,
+// which filters and the splice keep, and which checkRows checks — so
+// row a is the run of demand a's instance ids.
+func (m *Model) demandRuns() CSR {
+	c := CSR{Off: make([]int32, m.NumDemands+1), Data: make([]int32, len(m.Insts))}
+	for i, d := range m.Insts {
+		c.Off[d.Demand+1]++
+		c.Data[i] = int32(i)
 	}
+	prefix(c.Off)
+	return c
+}
+
+// checkRows validates internal consistency: instances in demand order
+// and groups in range on every instance, and each path inside the edge
+// space with π ⊆ path on the rows srcOld marks computed (negative; every
+// row when srcOld is nil). A copied row passed this check in the model
+// it comes from, over the same fixed edge space, so it cannot fail it.
+// The path-membership test uses one reusable seen-stamp slice — stamping
+// edge e with instance i marks "e on path(i)" without a per-instance
+// map — allocated only once a row needs it.
+func (m *Model) checkRows(srcOld []int32) error {
+	var seen []int32
 	for i := range m.Insts {
+		if i > 0 && m.Insts[i].Demand < m.Insts[i-1].Demand {
+			return fmt.Errorf("model: instance %d of demand %d follows one of demand %d", i, m.Insts[i].Demand, m.Insts[i-1].Demand)
+		}
 		if m.Group[i] < 1 || int(m.Group[i]) > m.NumGroups {
 			return fmt.Errorf("model: instance %d group %d outside 1..%d", i, m.Group[i], m.NumGroups)
 		}
 		if srcOld != nil && srcOld[i] >= 0 {
 			continue
+		}
+		if seen == nil {
+			seen = make([]int32, m.EdgeSpace)
+			for e := range seen {
+				seen[e] = -1
+			}
 		}
 		for _, e := range m.Paths.Row(int32(i)) {
 			if e < 0 || int(e) >= m.EdgeSpace {

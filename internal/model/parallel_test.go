@@ -1,11 +1,14 @@
 package model
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"treesched/internal/gen"
 	"treesched/internal/instance"
 	"treesched/internal/scenario"
+	"treesched/internal/treedecomp"
 )
 
 // parallelTestProblems materializes every registered scenario (scale
@@ -49,6 +52,45 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: build with Workers=%d differs from serial build", name, w)
+			}
+		}
+	}
+}
+
+// TestBuildShardsMatchSerial covers what the scenario problems above
+// are too small for: row tables of several rowShard-sized shards. A
+// tree under the full and the Appendix-A options and a line, each
+// spanning at least three shards, must build deep-equal at Workers 2
+// and 7 to the serial build.
+func TestBuildShardsMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tree := gen.TreeProblem(gen.TreeConfig{N: 200, Trees: 4, Demands: 600, Unit: true, AccessProb: 0.6}, rng)
+	line := gen.LineProblem(gen.LineConfig{Slots: 64, Resources: 4, Demands: 300, Unit: true, AccessProb: 0.6, MaxProc: 6, Slack: 6}, rng)
+	for _, tc := range []struct {
+		name string
+		p    *instance.Problem
+		opts Options
+	}{
+		{"tree", tree, Options{}},
+		{"tree/appendix-a", tree, Options{DecompKind: treedecomp.KindRootFixing, CaptureWingsPi: true}},
+		{"line", line, Options{}},
+	} {
+		tc.opts.Workers = 1
+		want, err := Build(tc.p, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: serial build: %v", tc.name, err)
+		}
+		if n := len(want.Insts); n <= 2*rowShard {
+			t.Fatalf("%s: %d instances fill fewer than three shards", tc.name, n)
+		}
+		for _, w := range []int{2, 7} {
+			tc.opts.Workers = w
+			got, err := Build(tc.p, tc.opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: build with Workers=%d differs from serial build", tc.name, w)
 			}
 		}
 	}

@@ -3,12 +3,13 @@
 // capacities), streams AddJob/RemoveJob events as demands arrive and
 // depart, and asks for fresh schedules at Resolve points. Consecutive
 // schedules are computed by delta recompilation (core.Compiled.WithJobs):
-// only the compiled rows touched by the arrivals and departures are
-// rebuilt, the tree decompositions and pooled solver scratch carry across
-// generations, and past a churn threshold the session transparently falls
-// back to a full recompile. Either way the schedule is byte-identical to
-// compiling and solving the current job set from scratch — the
-// equivalence suite in internal/core pins that property.
+// the compiled rows of surviving jobs are copied and only those of
+// arrivals are computed, by the row assembly a fresh compile runs, and
+// the tree decompositions and pooled solver scratch carry across
+// generations. Every resolve after the first takes that path, whatever
+// its churn, and its schedule is byte-identical to compiling and solving
+// the current job set from scratch — the equivalence suite in
+// internal/core pins that property.
 //
 // A Session serializes its own event stream (one mutex); different
 // sessions are independent. The serving layer (internal/service) exposes
@@ -55,9 +56,6 @@ type Config struct {
 	Epsilon float64
 	// Seed drives the deterministic Luby priorities.
 	Seed uint64
-	// ChurnThreshold overrides the WithJobs fallback fraction
-	// (0 = core.DefaultChurnThreshold).
-	ChurnThreshold float64
 	// MaxJobs bounds the live job set (0 = 20000).
 	MaxJobs int
 }
@@ -91,8 +89,7 @@ type Schedule struct {
 	// Jobs is the live job count.
 	Jobs int
 	// Incremental reports whether the recompile behind this schedule took
-	// the delta path (false for the first resolve, cache hits and
-	// past-threshold fallbacks).
+	// the delta path (false for the first resolve and cache hits).
 	Incremental bool
 }
 
@@ -141,11 +138,6 @@ func NewSession(network *instance.Problem, cfg Config) (*Session, error) {
 	}
 	if cfg.Epsilon < 0 || cfg.Epsilon >= 1 {
 		return nil, fmt.Errorf("online: epsilon %g outside [0,1)", cfg.Epsilon)
-	}
-	// 0 means the core default; the comparison form also rejects NaN,
-	// which would otherwise silently disable the delta path forever.
-	if !(cfg.ChurnThreshold >= 0 && cfg.ChurnThreshold <= 1) {
-		return nil, fmt.Errorf("online: churn threshold %g outside [0,1]", cfg.ChurnThreshold)
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 20000
@@ -302,9 +294,6 @@ func (s *Session) resolveLocked() (*Schedule, error) {
 			p.Demands[d] = dem
 		}
 		compiled, err = core.Compile(&p, 0)
-		if err == nil && s.cfg.ChurnThreshold != 0 {
-			compiled.SetChurnThreshold(s.cfg.ChurnThreshold)
-		}
 	} else {
 		compiled, err = s.compiled.WithJobs(added, removedIdx)
 	}

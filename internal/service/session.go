@@ -42,8 +42,6 @@ type SessionRequest struct {
 
 	Epsilon float64 `json:"epsilon,omitempty"`
 	Seed    uint64  `json:"seed,omitempty"`
-	// ChurnThreshold overrides the delta-recompile fallback fraction.
-	ChurnThreshold float64 `json:"churn_threshold,omitempty"`
 }
 
 // SessionInfo is the state echo returned by session mutations.
@@ -200,11 +198,10 @@ func (e *Engine) OpenSession(req *SessionRequest) (*SessionInfo, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	s, err := online.NewSession(network, online.Config{
-		Algo:           req.Algo,
-		Epsilon:        req.Epsilon,
-		Seed:           req.Seed,
-		ChurnThreshold: req.ChurnThreshold,
-		MaxJobs:        e.cfg.MaxDemands,
+		Algo:    req.Algo,
+		Epsilon: req.Epsilon,
+		Seed:    req.Seed,
+		MaxJobs: e.cfg.MaxDemands,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)

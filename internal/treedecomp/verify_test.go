@@ -11,8 +11,7 @@ import (
 //	     T-path between them is unique and equals LCA_H(u,v); and
 //	(ii) for every node z, C(z) induces a connected subtree of T.
 //
-// It is O(n² · path length) and intended for tests and the E7 experiment,
-// not production use.
+// It is O(n² · path length), for tests only.
 func Verify(d *Decomposition) error {
 	t := d.T
 	n := t.N()

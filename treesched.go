@@ -278,15 +278,14 @@ func Algorithms() []string { return service.Algorithms() }
 
 // Session is a dynamic scheduling session (internal/online): open it
 // against a fixed network, stream add/remove job events, and resolve
-// schedules recomputed by delta recompilation — only the compiled rows
-// touched by the arrivals and departures are rebuilt
-// (CompiledProblem.WithJobs), with a fall back to a full recompile past
-// a churn threshold. Schedules are byte-identical to compiling and
-// solving the current job set from scratch.
+// schedules recomputed by delta recompilation — the compiled rows of
+// surviving jobs are copied and only those of arrivals are computed
+// (CompiledProblem.WithJobs), at any churn. Schedules are byte-identical
+// to compiling and solving the current job set from scratch.
 type Session = online.Session
 
-// SessionConfig parameterizes a Session (algorithm, epsilon, seed,
-// churn threshold, job limit).
+// SessionConfig parameterizes a Session (algorithm, epsilon, seed, job
+// limit).
 type SessionConfig = online.Config
 
 // SessionJob is one client-visible unit of work: a stable id plus the
